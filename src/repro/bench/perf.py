@@ -84,7 +84,41 @@ class LegacyBTree(BTree):
     ``_leaf_covers`` pay an O(pages) structural search.
     """
 
-    def _path_to_leaf(self, leaf_no):
+    def _path_to_leaf(self, leaf, composite):
+        return self._walk_to_leaf(leaf.page_no)
+
+    def _leaf_covers(self, leaf, composite):
+        low_fence, high_fence = self._leaf_bounds(leaf.page_no)
+        if low_fence is not None and composite < low_fence:
+            return False
+        if high_fence is not None and composite >= high_fence:
+            return False
+        return True
+
+    def _leaf_bounds(self, leaf_no):
+        cache = self._bounds_cache
+        if cache.get("version") != self.structure_version:
+            cache.clear()
+            cache["version"] = self.structure_version
+        bounds = cache.get(leaf_no)
+        if bounds is not None:
+            return bounds
+        path = self._walk_to_leaf(leaf_no)
+        low_fence = None
+        high_fence = None
+        for branch, slot in path:
+            if slot > 0:
+                candidate = branch.separators[slot - 1]
+                if low_fence is None or candidate > low_fence:
+                    low_fence = candidate
+            if slot < len(branch.separators):
+                candidate = branch.separators[slot]
+                if high_fence is None or candidate < high_fence:
+                    high_fence = candidate
+        cache[leaf_no] = (low_fence, high_fence)
+        return low_fence, high_fence
+
+    def _walk_to_leaf(self, leaf_no):
         if self.root == leaf_no:
             return []
         path = []

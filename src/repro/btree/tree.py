@@ -36,7 +36,6 @@ followed by a retry.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 from repro.btree.node import BranchPage, CompositeKey, KeyEntry, LeafPage
@@ -164,66 +163,20 @@ class BTree:
             self.system.metrics.incr("index.page_visits", visits)
         return node, path
 
-    def _path_to_leaf(self, leaf_no: int) -> list[tuple[BranchPage, int]]:
-        """Derive the branch path to a known leaf, structurally.
+    def _path_to_leaf(self, leaf: LeafPage, composite: CompositeKey
+                      ) -> list[tuple[BranchPage, int]]:
+        """Branch path to ``leaf``, routed by a composite it covers.
 
-        A key-guided descent is not reliable here: rollbacks can empty a
-        leaf, and a subsequent insert can give it a low key equal to one
-        of its fences, making "traverse by low key" land a neighbour.
-        The structural search is exact; interior fan-out keeps it cheap.
-        When the leaf's fences are cached at the current structure
-        version they pin the leaf's position exactly, so a fence-guided
-        O(height) descent replaces the O(pages) walk (IB pays this once
-        per split; the walk made split-heavy builds quadratic).
+        Every caller has verified that ``leaf`` covers ``composite``, and
+        leaf ranges partition the composite space, so the O(height)
+        descent lands exactly on ``leaf``; landing elsewhere means the
+        tree's structure is broken.
         """
-        if self.root == leaf_no:
-            return []
-        path = self._fence_guided_path(leaf_no)
-        if path is not None:
-            return path
-        path = []
-
-        def descend(page_no: int) -> bool:
-            node = self.pages[page_no]
-            if isinstance(node, LeafPage):
-                return node.page_no == leaf_no
-            for slot, child in enumerate(node.children):
-                path.append((node, slot))
-                if descend(child):
-                    return True
-                path.pop()
-            return False
-
-        if self.root is None or not descend(self.root):
-            raise StorageError(f"leaf {leaf_no} unreachable in {self.name}")
-        return path
-
-    def _fence_guided_path(self, leaf_no: int
-                           ) -> Optional[list[tuple[BranchPage, int]]]:
-        """Branch path to ``leaf_no`` via its cached fences, or None.
-
-        A leaf's lower fence is the lowest composite its range covers, so
-        descending by it (``bisect_right``, the same routing rule as
-        :meth:`BranchPage.child_for`; a ``None`` fence means leftmost)
-        lands exactly on that leaf -- verified before trusting the result,
-        with the exhaustive walk as the fallback.
-        """
-        cache = self._bounds_cache
-        if cache.get("version") != self.structure_version:
-            return None
-        bounds = cache.get(leaf_no)
-        if bounds is None:
-            return None
-        low_fence = bounds[0]
-        node = self.pages[self.root]
-        path: list[tuple[BranchPage, int]] = []
-        while isinstance(node, BranchPage):
-            slot = (bisect_right(node.separators, low_fence)
-                    if low_fence is not None else 0)
-            path.append((node, slot))
-            node = self.pages[node.children[slot]]
-        if node.page_no != leaf_no:
-            return None
+        node, path = self._traverse(composite, count=False)
+        if node.page_no != leaf.page_no:
+            raise StorageError(
+                f"leaf {leaf.page_no} does not cover {composite!r} in "
+                f"{self.name}: routed to leaf {node.page_no}")
         return path
 
     def _find_for_key_value(self, key_value
@@ -269,7 +222,7 @@ class BTree:
             leaf.entries.insert(leaf.position(entry.composite), entry)
             return leaf
         if path is None:
-            path = self._path_to_leaf(leaf.page_no)
+            path = self._path_to_leaf(leaf, entry.composite)
         if specialized_for_ib:
             return self._specialized_split(leaf, entry, path)
         return self._normal_split(leaf, entry, path)
@@ -388,11 +341,11 @@ class BTree:
         O(pages) structural search -- quadratic over a build) the cache is
         patched in place and its version stamp advanced.  Any *external*
         version bump (crash, snapshot restore) still mismatches and clears
-        the cache lazily in :meth:`_leaf_bounds`.
+        the cache lazily in :meth:`_leaf_covers`.
         """
         cache = self._bounds_cache
         if cache.get("version") != self.structure_version - 1:
-            return  # cache already stale; let _leaf_bounds rebuild lazily
+            return  # cache already stale; _leaf_covers rebuilds it lazily
         cache["version"] = self.structure_version
         bounds = cache.get(left.page_no)
         if bounds is not None:
@@ -428,7 +381,12 @@ class BTree:
         composite = (key_value, rid)
         while True:
             if self.unique:
-                leaf, _entry = self._find_for_key_value(key_value)
+                leaf, entry = self._find_for_key_value(key_value)
+                if entry is None and not self._leaf_covers(leaf, composite):
+                    # No entry holds this key value, but a separator
+                    # with it outlived its entry (a delete or rollback):
+                    # the composite belongs right of that separator.
+                    leaf, _path = self._traverse(composite, count=False)
                 self.system.metrics.incr("index.traversals")
             else:
                 leaf, _path = self._traverse(composite)
@@ -743,31 +701,24 @@ class BTree:
         The fences come from the *parent separators*, not the leaf chain:
         a leaf emptied by rollbacks still owns its range, and its first
         entry may legally equal its own lower fence -- chain-derived
-        bounds get both cases wrong.
+        bounds get both cases wrong.  Fences are cached per structure
+        version.  On a miss, ``composite`` is routed from the root (the
+        rule of :meth:`BranchPage.child_for`): leaf ranges partition the
+        composite space, so ``leaf`` covers it exactly when the route
+        lands there, and the fences met on the way are cached for
+        whichever leaf the route reached.
         """
-        low_fence, high_fence = self._leaf_bounds(leaf.page_no)
-        if low_fence is not None and composite < low_fence:
-            return False
-        if high_fence is not None and composite >= high_fence:
-            return False
-        return True
-
-    def _leaf_bounds(self, leaf_no: int
-                     ) -> tuple[Optional[CompositeKey],
-                                Optional[CompositeKey]]:
-        """(lower fence, upper fence) of a leaf from its ancestors'
-        separators; None means unbounded on that side.  Cached per
-        structure version."""
         cache = self._bounds_cache
         if cache.get("version") != self.structure_version:
             cache.clear()
             cache["version"] = self.structure_version
-        bounds = cache.get(leaf_no)
+        bounds = cache.get(leaf.page_no)
         if bounds is not None:
-            return bounds
-        path = self._path_to_leaf(leaf_no)
-        low_fence: Optional[CompositeKey] = None
-        high_fence: Optional[CompositeKey] = None
+            low_fence, high_fence = bounds
+            return ((low_fence is None or composite >= low_fence)
+                    and (high_fence is None or composite < high_fence))
+        node, path = self._traverse(composite, count=False)
+        low_fence = high_fence = None
         for branch, slot in path:
             if slot > 0:
                 candidate = branch.separators[slot - 1]
@@ -777,8 +728,8 @@ class BTree:
                 candidate = branch.separators[slot]
                 if high_fence is None or candidate < high_fence:
                     high_fence = candidate
-        cache[leaf_no] = (low_fence, high_fence)
-        return low_fence, high_fence
+        cache[node.page_no] = (low_fence, high_fence)
+        return node.page_no == leaf.page_no
 
     def _locate_ib_leaf(self, cursor: IBCursor,
                         composite: CompositeKey) -> LeafPage:

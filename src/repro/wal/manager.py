@@ -67,8 +67,9 @@ class LogManager:
         fault_point(self.metrics, "wal.append")
         self.metrics.incr("wal.records")
         self.metrics.incr(f"wal.records.{writer}")
-        self.metrics.incr("wal.bytes", record.size)
-        self.metrics.incr(f"wal.bytes.{writer}", record.size)
+        size = record.size
+        self.metrics.incr("wal.bytes", size)
+        self.metrics.incr(f"wal.bytes.{writer}", size)
         return record
 
     # -- durability --------------------------------------------------------

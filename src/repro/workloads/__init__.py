@@ -7,11 +7,13 @@ from repro.workloads.openloop import (
     ZipfSampler,
     arrival_schedule,
 )
+from repro.workloads.ridpool import RidPool
 
 __all__ = [
     "OpRecord",
     "OpenLoopDriver",
     "OpenLoopSpec",
+    "RidPool",
     "WorkloadDriver",
     "WorkloadSpec",
     "ZipfSampler",

@@ -23,6 +23,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.errors import TransactionAborted
 from repro.sim.kernel import Delay
 from repro.storage.rid import RID
+from repro.workloads.ridpool import RidPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
@@ -84,7 +85,7 @@ class WorkloadDriver:
         self.spec = spec or WorkloadSpec()
         self.seed = seed
         #: committed (rid, key) pairs available to delete/update
-        self.pool: dict[RID, int] = {}
+        self.pool: RidPool = RidPool()
         self.op_timeline: list[OpRecord] = []
         self.ops_done = 0
         #: hook building the stored row for a ``(key, tag)`` pair.
@@ -187,7 +188,7 @@ class WorkloadDriver:
     def _claim(self, rng) -> Optional[tuple[RID, int]]:
         if not self.pool:
             return None
-        rid = rng.choice(list(self.pool))
+        rid = self.pool.choice(rng)
         key = self.pool.pop(rid)
         return rid, key
 

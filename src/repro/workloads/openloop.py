@@ -364,7 +364,7 @@ class OpenLoopDriver(WorkloadDriver):
         we *want* to measure)."""
         if not self.pool:
             return None
-        return rng.choice(list(self.pool))
+        return self.pool.choice(rng)
 
     # -- analysis ----------------------------------------------------------
 

@@ -90,6 +90,42 @@ def test_unique_insert_conflict_across_leaf_boundary():
         drive(system, body())
 
 
+def test_unique_reinsert_at_separator_after_physical_delete():
+    """Deleting the key that became a separator leaves the separator in
+    place; re-inserting that key must land right of it.  Looking up the
+    leftmost leaf for the key value alone found the left leaf, which
+    does not cover the composite, and retried forever."""
+    system, tree = make_tree(unique=True, leaf_capacity=4)
+    bulk(tree, [(k * 10, (1, k + 1)) for k in range(8)])
+    key_value, rid = tree.pages[tree.root].separators[0]
+
+    def body(delete):
+        txn = system.txns.begin()
+        if delete:
+            yield from tree.txn_delete_key(txn, key_value, rid,
+                                           during_build=False)
+        else:
+            yield from tree.txn_insert_key(txn, key_value, rid,
+                                           during_build=False)
+        yield from txn.commit()
+
+    drive(system, body(delete=True))
+    assert tree.pages[tree.root].separators[0] == (key_value, rid)
+    validations = []
+    latched_leaf_valid = tree._latched_leaf_valid
+
+    def bounded(*args):
+        validations.append(args)
+        assert len(validations) < 10, "insert retries without progress"
+        return latched_leaf_valid(*args)
+
+    tree._latched_leaf_valid = bounded
+    drive(system, body(delete=False))
+    audit_tree(tree)
+    assert [e.key_value for e in tree.all_entries()] \
+        == [k * 10 for k in range(8)]
+
+
 # -- IB cursor ---------------------------------------------------------------------
 
 
