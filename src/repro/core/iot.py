@@ -322,14 +322,13 @@ class SFIotBuilder:
         # Bottom-up, unlogged load (pipelined final merge).
         merger = final_merger(store, runs, system.config.merge_fanin)
         loader = BulkLoader(self.index.tree)
-        loaded = 0
         while merger is not None:
-            key = merger.pop()
-            if key is None:
+            batch = merger.pop_many(64)
+            if not batch:
                 break
-            loader.append(key[0], RID(*key[1]))
-            loaded += 1
-            if loaded % 64 == 0:
+            for key_value, rid in batch:
+                loader.append(key_value, RID(*rid))
+            if len(batch) == 64:
                 yield Delay(64 * system.config.bulk_load_key_cost)
         loader.finish()
         self.index.tree.force()

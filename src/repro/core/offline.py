@@ -60,15 +60,19 @@ class OfflineIndexBuilder(BuilderBase):
                 codec = self._codecs.get(descriptor.name)
                 decode = codec.decode \
                     if codec is not None and codec.active else None
+                append = loader.append
+                # Yield once per full 64-key batch and not after a final
+                # partial one: the schedule stays a yield per 64th key.
                 while merger is not None:
-                    key = merger.pop()
-                    if key is None:
+                    batch = merger.pop_many(64)
+                    if not batch:
                         break
                     if decode is not None:
-                        key = decode(key)
-                    loader.append(key[0], key[1])
-                    loaded += 1
-                    if loaded % 64 == 0:
+                        batch = [decode(key) for key in batch]
+                    for key_value, rid in batch:
+                        append(key_value, rid)
+                    loaded += len(batch)
+                    if len(batch) == 64:
                         yield from self._throttle(64)
                         yield Delay(
                             64 * self.system.config.bulk_load_key_cost)

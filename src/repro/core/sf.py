@@ -216,8 +216,8 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
         merge_charged = 0
         append = loader.append
         key_cost = self.system.config.bulk_load_key_cost
-        # The merged keys are pulled in batches (pop_many inlines the
-        # tournament's fixup) but the yield and checkpoint cadence is
+        # The merged keys are pulled in batches (pop_many slices the
+        # one-shot merge) but the yield and checkpoint cadence is
         # key-exact: each batch is capped at the earlier of the next
         # 64-key yield boundary and the next checkpoint boundary, so the
         # simulated schedule is identical to the historical per-key loop.
@@ -245,7 +245,7 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
                 yield from self._throttle(since_yield)
                 yield Delay(since_yield * key_cost)
                 if compare_cost:
-                    done = merger._tree.comparisons
+                    done = merger.comparisons
                     charge = (done - merge_charged) * compare_units
                     merge_charged = done
                     if charge:
@@ -271,7 +271,7 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
             yield from self._throttle(since_yield)
             yield Delay(since_yield * self.system.config.bulk_load_key_cost)
             if compare_cost and merger is not None:
-                done = merger._tree.comparisons
+                done = merger.comparisons
                 charge = (done - merge_charged) * compare_units
                 merge_charged = done
                 if charge:

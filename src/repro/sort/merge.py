@@ -1,6 +1,6 @@
 """Restartable merge phase (section 5.2).
 
-An N-way tournament merges N sorted input streams.  Restartability rests
+N sorted input streams merge into one output stream.  Restartability rests
 on the paper's counter vector:
 
     "Associate with the tournament tree a vector of N counters, where each
@@ -10,17 +10,24 @@ on the paper's counter vector:
 
 A checkpoint forces the output stream and records the counters plus the
 output's end-of-file; restart truncates the output back to that position,
-repositions every input to its counter, and rebuilds the tournament --
-"no key is left out from the merge and no key is output more than once".
+repositions every input to its counter, and rebuilds the merge -- "no key
+is left out from the merge and no key is output more than once".
+
+No per-key tournament step is needed for that.  Construction sorts the
+inputs' unread suffixes, concatenated in slot order, once: timsort finds
+the N sorted runs and gallop-merges them in C, and being stable it keeps
+equal keys in slot order.  Producing keys is slicing; the counters and
+the tournament's comparison count are derived from the last key out.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from bisect import bisect_left, bisect_right
+from operator import lt
+from typing import Any, Optional
 
 from repro.errors import SortRestartError
 from repro.sort.runs import RunStore, SortRun
-from repro.sort.tournament import INF, LoserTree, _Infinite
 
 
 class RestartableMerger:
@@ -34,107 +41,88 @@ class RestartableMerger:
         self.output = output
         # Counters are 1-based positions of the next key to read from each
         # input, as in the paper ("All the counters are initialized to 1").
-        self.counters = list(counters) if counters is not None \
+        starts = list(counters) if counters is not None \
             else [1] * len(inputs)
-        if len(self.counters) != len(self.inputs):
+        if len(starts) != len(self.inputs):
             raise SortRestartError("one counter per input stream required")
         # A counter is the 1-based position of the next key to read, so the
         # legal range is [1, len(run) + 1] (the latter: input exhausted).
         # Restored counters outside it mean the checkpoint does not belong
         # to these runs -- e.g. a stale manifest applied to reused sealed
         # runs -- and would silently merge from the wrong offsets.
-        for run, counter in zip(self.inputs, self.counters):
-            if not 1 <= counter <= len(run.keys) + 1:
+        merged: list[Any] = []
+        for run, counter in zip(self.inputs, starts):
+            keys = run.keys
+            if not 1 <= counter <= len(keys) + 1:
                 raise SortRestartError(
                     f"counter {counter} out of range for run {run.name!r} "
-                    f"with {len(run.keys)} keys")
-        self._tree = LoserTree(len(self.inputs))
-        for slot, run in enumerate(self.inputs):
-            self._tree.set(slot, self._key_at(run, self.counters[slot]))
-        self._tree.build()
-
-    @staticmethod
-    def _key_at(run: SortRun, counter: int) -> Any:
-        index = counter - 1
-        if index >= len(run.keys):
-            return INF
-        return run.keys[index]
+                    f"with {len(keys)} keys")
+            if any(map(lt, keys[counter:], keys[counter - 1:])):
+                raise SortRestartError(
+                    f"run {run.name}: keys from position {counter} are "
+                    f"not in sort order")
+            merged += keys[counter - 1:]
+        merged.sort()
+        self._starts = starts
+        self._merged = merged
+        self._pos = 0
+        size = len(self.inputs)
+        # Matches a loser tree plays refilling slot i: one per level from
+        # leaf node i + size up to the root.
+        self._depths = [(slot + size).bit_length() - 1
+                        for slot in range(size)]
 
     # -- producing ---------------------------------------------------------
 
     @property
     def exhausted(self) -> bool:
-        return self._tree.exhausted
+        return self._pos >= len(self._merged)
 
     def pop(self) -> Optional[Any]:
         """Produce the next merged key (appending it to the output run),
         or None when every input is exhausted."""
-        if self._tree.exhausted:
-            return None
-        slot, value = self._tree.pop()
-        self.output.append(value)
-        self.counters[slot] += 1
-        self._tree.set(slot,
-                       self._key_at(self.inputs[slot], self.counters[slot]))
-        self._tree.fixup(slot)
-        return value
+        batch = self.pop_many(1)
+        return batch[0] if batch else None
 
     def pop_many(self, limit: int) -> list[Any]:
-        """Produce up to ``limit`` merged keys.
-
-        Inlines :meth:`pop`'s loop body with hoisted bindings -- this is
-        NSF's key-supply path, called once per IB batch for the whole
-        build, and the per-key method dispatch was measurable.
-        """
-        tree = self._tree
-        if not tree._built:
-            tree.build()
-        counters = self.counters
-        append = self.output.append
-        values = tree.values
-        losers = tree._losers
-        size = tree.size
-        keys_by_slot = [run.keys for run in self.inputs]
-        out: list[Any] = []
-        out_append = out.append
-        compared = 0
-        winner = losers[0]
-        while len(out) < limit:
-            value = values[winner]
-            if isinstance(value, _Infinite):
-                break
-            append(value)
-            out_append(value)
-            counter = counters[winner] + 1
-            counters[winner] = counter
-            keys = keys_by_slot[winner]
-            replacement = keys[counter - 1] if counter <= len(keys) else INF
-            values[winner] = replacement
-            # Inlined fixup: replay matches from the refilled leaf upward.
-            node = (winner + size) // 2
-            while node >= 1:
-                loser = losers[node]
-                compared += 1
-                contender = values[loser]
-                # A bare ``<`` is total here: _Infinite answers False on
-                # the left and (via the reflected operator) True on the
-                # right, so the isinstance guards this used to carry were
-                # two redundant tests per match in the hottest loop.
-                if contender < replacement:
-                    losers[node] = winner
-                    winner = loser
-                    replacement = contender
-                node >>= 1
-            losers[0] = winner
-        tree.comparisons += compared
-        return out
+        """Produce up to ``limit`` merged keys."""
+        pos = self._pos
+        batch = self._merged[pos:pos + limit]
+        self.output.extend_sorted(batch)
+        self._pos = pos + len(batch)
+        return batch
 
     def run_to_completion(self) -> SortRun:
-        while self.pop() is not None:
-            pass
+        self.pop_many(len(self._merged))
         self.output.closed = True
         self.output.force()
         return self.output
+
+    @property
+    def counters(self) -> list[int]:
+        """The paper's counter vector for the keys produced so far."""
+        pos = self._pos
+        if not pos:
+            return list(self._starts)
+        last = self._merged[pos - 1]
+        # Emitted copies of ``last``: the stable sort put them out in slot
+        # order, so they are handed back to the inputs in that order.
+        copies = pos - bisect_left(self._merged, last, 0, pos)
+        counters = []
+        for run, start in zip(self.inputs, self._starts):
+            keys = run.keys
+            below = bisect_left(keys, last, start - 1)
+            taken = min(copies, bisect_right(keys, last, below) - below)
+            copies -= taken
+            counters.append(1 + below + taken)
+        return counters
+
+    @property
+    def comparisons(self) -> int:
+        """Key comparisons an N-way loser tree makes for the same output."""
+        return len(self.inputs) - 1 + sum(
+            (counter - start) * depth for counter, start, depth
+            in zip(self.counters, self._starts, self._depths))
 
     # -- checkpointing (section 5.2) ---------------------------------------------
 

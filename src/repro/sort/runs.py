@@ -51,6 +51,14 @@ class SortRun:
                 f"{self.keys[-1]!r}")
         self.keys.append(key)
 
+    def extend_sorted(self, batch: list[Any]) -> None:
+        """:meth:`append` for an already-sorted batch: the closed-run and
+        sort-order checks run once, at the batch's first key."""
+        if not batch:
+            return
+        self.append(batch[0])
+        self.keys.extend(batch[1:])
+
     def force(self) -> None:
         """Make everything appended so far crash-survivable."""
         self.stable_length = len(self.keys)

@@ -4,12 +4,9 @@ The paper assumes "a tournament tree sort [Knut73]" for both sorting
 phases.  This is Knuth's *tree of losers*: an array-embedded complete
 binary tree whose internal nodes remember the loser of each match and
 whose root produces the overall winner with O(log N) comparisons per
-output.
-
-The property the merge-phase checkpoint relies on (section 5.2) holds by
-construction: "a particular leaf node of the tree is always fed from the
-same input stream", so every produced value is attributable to exactly one
-input.
+output.  Run formation drives it key by key; the merge phase
+(:mod:`repro.sort.merge`) merges whole runs at once and reports the
+comparison count this tree would have made.
 """
 
 from __future__ import annotations
@@ -158,9 +155,3 @@ class LoserTree:
         if not self._built:
             self.build()
         return isinstance(self.values[self._losers[0]], _Infinite)
-
-    @property
-    def minimum(self) -> Any:
-        if not self._built:
-            self.build()
-        return self.values[self._losers[0]]
