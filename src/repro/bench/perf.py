@@ -29,13 +29,12 @@ Results are written as schema-stable JSON (see :data:`SCHEMA_VERSION` and
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
 import sys
 import time
 from typing import Any, Callable, Optional
 
+from repro.bench.gate import Entry, Suite, find_scenario, scenario_count
 from repro.bench.harness import bench_config, run_build_experiment
 from repro.btree.tree import BTree, IBCursor
 from repro.btree.node import KeyEntry
@@ -702,23 +701,23 @@ def _build_scenario(name: str, *, algorithm: str, rows: int,
     return scenario
 
 
-def _build_scenarios(mode: str) -> list[tuple[str, Callable[[], dict]]]:
+def _build_scenarios(mode: str) -> list[Entry]:
     if mode == "smoke":
         rows_list = [120]
         workload_ops = 20
     else:
         rows_list = [300, 900]
         workload_ops = 60
-    scenarios: list[tuple[str, Callable[[], dict]]] = []
+    scenarios: list[Entry] = []
     for rows in rows_list:
         for algorithm in ("offline", "nsf", "sf"):
             scenarios.append((
-                f"build/{algorithm}/rows{rows}",
+                f"build/{algorithm}/rows{rows}", "build",
                 lambda a=algorithm, r=rows: _build_scenario(
                     f"build/{a}/rows{r}", algorithm=a, rows=r, seed=42)))
     for algorithm in ("nsf", "sf"):
         scenarios.append((
-            f"build/{algorithm}/rows{rows_list[0]}/workload",
+            f"build/{algorithm}/rows{rows_list[0]}/workload", "build",
             lambda a=algorithm: _build_scenario(
                 f"build/{a}/workload", algorithm=a, rows=rows_list[0],
                 operations=workload_ops, seed=42)))
@@ -731,8 +730,7 @@ def _build_scenarios(mode: str) -> list[tuple[str, Callable[[], dict]]]:
 # ---------------------------------------------------------------------------
 
 
-def _codec_scenarios(mode: str) \
-        -> list[tuple[str, str, Callable[[], dict]]]:
+def _codec_scenarios(mode: str) -> list[Entry]:
     """Codec-on vs codec-off SF builds plus a summary of the ratio.
 
     ``key_compare_cost`` charges the simulated clock per tournament/merge
@@ -743,7 +741,7 @@ def _codec_scenarios(mode: str) \
     rows = 120 if mode == "smoke" else 400
     compare_cost = 0.05
     cache: dict[str, dict] = {}
-    scenarios: list[tuple[str, str, Callable[[], dict]]] = []
+    scenarios: list[Entry] = []
     for label, compressed in (("off", False), ("on", True)):
         def run_one(lbl=label, c=compressed):
             scenario = _build_scenario(
@@ -883,15 +881,14 @@ def _parallel_sf_run(partitions: int, *, rows: int, operations: int,
     return scenario
 
 
-def _parallel_scenarios(mode: str) \
-        -> list[tuple[str, str, Callable[[], dict]]]:
+def _parallel_scenarios(mode: str) -> list[Entry]:
     """Per-P scenarios plus a summary that reads their cached results."""
     if mode == "smoke":
         rows, operations, p_list = 120, 20, [1, 2]
     else:
         rows, operations, p_list = 600, 60, [1, 2, 4, 8]
     cache: dict[int, dict] = {}
-    scenarios: list[tuple[str, str, Callable[[], dict]]] = []
+    scenarios: list[Entry] = []
     for partitions in p_list:
         def run_one(p=partitions):
             scenario = _parallel_sf_run(p, rows=rows,
@@ -942,136 +939,75 @@ MICROS: list[tuple[str, Callable[[str], dict]]] = [
 
 
 # ---------------------------------------------------------------------------
-# suite driver, schema, CLI
+# the suite: scenarios, row schema, self-gates (shared gate: repro.bench.gate)
 # ---------------------------------------------------------------------------
 
 
-def run_suite(mode: str = "full", *, only: Optional[str] = None,
-              echo: Callable[[str], None] = lambda line: None) -> dict:
-    """Run every scenario; never raises -- failures land in the JSON.
-
-    ``only`` restricts the run to scenarios whose name starts with the
-    given prefix (used by CI to run just the parallel smoke).  Filtered
-    payloads carry an ``only`` key and skip full-schema validation.
-    """
-    entries: list[tuple[str, str, Callable[[], dict]]] = []
-    for name, thunk in _build_scenarios(mode):
-        entries.append((name, "build", lambda t=thunk: t()))
-    entries.extend(_codec_scenarios(mode))
+def _perf_scenarios(mode: str) -> list[Entry]:
+    entries = _build_scenarios(mode) + _codec_scenarios(mode)
     entries.append(("rebuild/reuse_runs", "build",
                     lambda: _rebuild_scenario(mode)))
     entries.extend(_parallel_scenarios(mode))
     for name, body in MICROS:
         entries.append((name, "micro", lambda b=body: b(mode)))
-    scenarios: list[dict] = []
-    for name, kind, thunk in entries:
-        if only is not None and not name.startswith(only):
-            continue
-        scenarios.append(_run_one(name, kind, thunk, echo))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "mode": mode,
-        "python": sys.version.split()[0],
-        "scenarios": scenarios,
-    }
-    if only is not None:
-        payload["only"] = only
-    return payload
+    return entries
 
 
-def _run_one(name: str, kind: str, thunk: Callable[[], dict],
-             echo: Callable[[str], None]) -> dict:
-    scenario: dict[str, Any] = {"name": name, "kind": kind, "ok": True}
-    try:
-        scenario.update(thunk())
-    except Exception as exc:  # noqa: BLE001 - recorded, reported by check
-        scenario["ok"] = False
-        scenario["error"] = f"{type(exc).__name__}: {exc}"
-        echo(f"  FAIL {name}: {scenario['error']}")
-        return scenario
+def _ok_line(name: str, scenario: dict) -> str:
     if name in ("micro/ib_insert_batch", "micro/frontier_shard_of",
                 "micro/scan_sort_load_codec", "micro/codec_compare_bound"):
-        echo(f"  ok   {name}: speedup {scenario['speedup']:.2f}x "
-             f"({scenario['baseline']['wall_seconds']:.3f}s -> "
-             f"{scenario['optimized']['wall_seconds']:.3f}s)")
-    elif name == "codec/sim_sweep":
-        echo(f"  ok   {name}: sim {scenario['speedup_sim']:.2f}x, "
-             f"wall {scenario['speedup_wall']:.2f}x")
-    elif name == "rebuild/reuse_runs":
-        echo(f"  ok   {name}: 0 pages rescanned, sim "
-             f"{scenario['speedup_vs_seed_build']:.2f}x vs seed build")
-    elif name == "parallel_sf/p_sweep":
+        return (f"{name}: speedup {scenario['speedup']:.2f}x "
+                f"({scenario['baseline']['wall_seconds']:.3f}s -> "
+                f"{scenario['optimized']['wall_seconds']:.3f}s)")
+    if name == "codec/sim_sweep":
+        return (f"{name}: sim {scenario['speedup_sim']:.2f}x, "
+                f"wall {scenario['speedup_wall']:.2f}x")
+    if name == "rebuild/reuse_runs":
+        return (f"{name}: 0 pages rescanned, sim "
+                f"{scenario['speedup_vs_seed_build']:.2f}x vs seed build")
+    if name == "parallel_sf/p_sweep":
         speedups = ", ".join(
             f"P={p}: {ratio:.2f}x" for p, ratio
             in scenario.get("speedup_scan_sort", {}).items())
-        echo(f"  ok   {name}: scan+sort {speedups or 'n/a'}")
-    else:
-        echo(f"  ok   {name}: {scenario.get('wall_seconds', 0.0):.3f}s")
-    return scenario
+        return f"{name}: scan+sort {speedups or 'n/a'}"
+    return f"{name}: {scenario.get('wall_seconds', 0.0):.3f}s"
 
 
-def validate_payload(payload: dict) -> list[str]:
-    """Schema check; returns a list of problems (empty = valid)."""
+def _check_row(name: str, scenario: dict) -> list[str]:
     problems: list[str] = []
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version != {SCHEMA_VERSION}")
-    if payload.get("suite") != SUITE_NAME:
-        problems.append("suite name mismatch")
-    if payload.get("mode") not in ("full", "smoke"):
-        problems.append("mode must be 'full' or 'smoke'")
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return problems + ["scenarios must be a non-empty list"]
-    names = set()
-    for scenario in scenarios:
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("scenario without a name")
-            continue
-        if name in names:
-            problems.append(f"duplicate scenario {name}")
-        names.add(name)
-        if scenario.get("kind") not in ("build", "micro", "summary"):
-            problems.append(f"{name}: bad kind")
-        if not isinstance(scenario.get("ok"), bool):
-            problems.append(f"{name}: ok must be a bool")
-        if not scenario.get("ok"):
-            continue
-        if scenario.get("kind") == "build":
-            for field in ("wall_seconds", "keys_per_second", "sim_time"):
-                if not isinstance(scenario.get(field), (int, float)):
-                    problems.append(f"{name}: missing {field}")
-            if not isinstance(scenario.get("counters"), dict):
-                problems.append(f"{name}: missing counters")
-    ib = find_scenario(payload, "micro/ib_insert_batch")
-    if ib is None:
-        problems.append("micro/ib_insert_batch scenario missing")
-    elif ib.get("ok"):
+    if scenario.get("kind") == "build":
+        for field in ("wall_seconds", "keys_per_second", "sim_time"):
+            if not isinstance(scenario.get(field), (int, float)):
+                problems.append(f"{name}: missing {field}")
+        if not isinstance(scenario.get("counters"), dict):
+            problems.append(f"{name}: missing counters")
+    if name == "micro/ib_insert_batch":
         for field in ("baseline", "optimized"):
-            side = ib.get(field)
+            side = scenario.get(field)
             if not isinstance(side, dict) \
                     or not isinstance(side.get("wall_seconds"),
                                       (int, float)) \
                     or not isinstance(side.get("keys_per_second"),
                                       (int, float)):
                 problems.append(f"ib micro: malformed {field}")
-        if not isinstance(ib.get("speedup"), (int, float)):
+        if not isinstance(scenario.get("speedup"), (int, float)):
             problems.append("ib micro: missing speedup")
     return problems
 
 
-def find_scenario(payload: dict, name: str) -> Optional[dict]:
-    for scenario in payload.get("scenarios", []):
-        if scenario.get("name") == name:
-            return scenario
-    return None
+def _reference_speedup(payload: dict, reference: Optional[dict],
+                       name: str) -> Optional[float]:
+    """The reference row's ``speedup``, when it is comparable: wall-clock
+    ratios are only compared between payloads of the same mode."""
+    if reference is None or reference.get("mode") != payload.get("mode"):
+        return None
+    speedup = (find_scenario(reference, name) or {}).get("speedup")
+    return speedup if isinstance(speedup, (int, float)) else None
 
 
-def check_payload(payload: dict, reference: Optional[dict], *,
-                  max_regression: float = 0.30,
-                  min_speedup: Optional[float] = None) -> list[str]:
-    """Regression gate: schema, scenario failures, IB speedup floor.
+def _perf_gates(payload: dict, reference: Optional[dict],
+                max_regression: float) -> list[str]:
+    """Speedup floors: IB insert, codec, rebuild reuse, parallel scan.
 
     Wall-clock seconds are machine-dependent, so the gate compares the
     IB-insert *speedup ratio* (same-process, same-machine by
@@ -1079,63 +1015,34 @@ def check_payload(payload: dict, reference: Optional[dict], *,
     differ (smoke CI vs committed full baseline), against the acceptance
     floor scaled by the allowed regression.
     """
-    problems = validate_payload(payload)
-    for scenario in payload.get("scenarios", []):
-        if not scenario.get("ok"):
-            problems.append(
-                f"scenario {scenario.get('name')} failed: "
-                f"{scenario.get('error', 'unknown error')}")
-    ib = find_scenario(payload, "micro/ib_insert_batch")
-    speedup = ib.get("speedup") if ib and ib.get("ok") else None
-    if speedup is not None:
-        floor = None
-        if reference is not None:
-            ref_ib = find_scenario(reference, "micro/ib_insert_batch")
-            ref_speedup = (ref_ib or {}).get("speedup")
-            if isinstance(ref_speedup, (int, float)) \
-                    and reference.get("mode") == payload.get("mode"):
-                floor = ref_speedup * (1.0 - max_regression)
-        if floor is None:
-            floor = MIN_IB_SPEEDUP * (1.0 - max_regression)
-        if min_speedup is not None:
-            floor = max(floor, min_speedup)
+    problems: list[str] = []
+    for name, label, minimum in (
+            ("micro/ib_insert_batch", "ib-insert", MIN_IB_SPEEDUP),
+            ("micro/codec_compare_bound", "codec comparison-bound",
+             MIN_CODEC_SPEEDUP)):
+        row = find_scenario(payload, name)
+        speedup = row.get("speedup") if row and row.get("ok") else None
+        if speedup is None:
+            continue
+        ref_speedup = _reference_speedup(payload, reference, name)
+        floor = (minimum if ref_speedup is None else ref_speedup) \
+            * (1.0 - max_regression)
         if speedup < floor:
-            problems.append(
-                f"ib-insert speedup {speedup:.2f}x under floor "
-                f"{floor:.2f}x")
-    compare_bound = find_scenario(payload, "micro/codec_compare_bound")
-    bound_speedup = compare_bound.get("speedup") \
-        if compare_bound and compare_bound.get("ok") else None
-    if bound_speedup is not None:
-        floor = None
-        if reference is not None:
-            ref_bound = find_scenario(reference,
-                                      "micro/codec_compare_bound")
-            ref_speedup = (ref_bound or {}).get("speedup")
-            if isinstance(ref_speedup, (int, float)) \
-                    and reference.get("mode") == payload.get("mode"):
-                floor = ref_speedup * (1.0 - max_regression)
-        if floor is None:
-            floor = MIN_CODEC_SPEEDUP * (1.0 - max_regression)
-        if bound_speedup < floor:
-            problems.append(
-                f"codec comparison-bound speedup {bound_speedup:.2f}x "
-                f"under floor {floor:.2f}x")
+            problems.append(f"{label} speedup {speedup:.2f}x under floor "
+                            f"{floor:.2f}x")
     codec = find_scenario(payload, "micro/scan_sort_load_codec")
     codec_speedup = codec.get("speedup") if codec and codec.get("ok") \
         else None
-    if codec_speedup is not None and reference is not None:
-        # End-to-end pipeline ratio: regression-gated row-by-row against
-        # the committed baseline (no absolute floor -- see the note on
-        # MIN_CODEC_SPEEDUP above).
-        ref_codec = find_scenario(reference, "micro/scan_sort_load_codec")
-        ref_speedup = (ref_codec or {}).get("speedup")
-        if isinstance(ref_speedup, (int, float)) \
-                and reference.get("mode") == payload.get("mode") \
-                and codec_speedup < ref_speedup * (1.0 - max_regression):
-            problems.append(
-                f"codec scan+sort+load speedup {codec_speedup:.2f}x "
-                f"regressed from baseline {ref_speedup:.2f}x")
+    # End-to-end pipeline ratio: regression-gated row-by-row against the
+    # committed baseline (no absolute floor -- see the note on
+    # MIN_CODEC_SPEEDUP above).
+    ref_speedup = _reference_speedup(payload, reference,
+                                     "micro/scan_sort_load_codec")
+    if codec_speedup is not None and ref_speedup is not None \
+            and codec_speedup < ref_speedup * (1.0 - max_regression):
+        problems.append(
+            f"codec scan+sort+load speedup {codec_speedup:.2f}x "
+            f"regressed from baseline {ref_speedup:.2f}x")
     codec_sim = find_scenario(payload, "codec/sim_sweep")
     if codec_sim is not None and codec_sim.get("ok"):
         # Simulated clock: machine-independent, gated on the raw floor.
@@ -1165,64 +1072,31 @@ def check_payload(payload: dict, reference: Optional[dict], *,
     return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.perf",
-        description="wall-clock perf-regression suite")
-    parser.add_argument("--out", required=True,
-                        help="write the results JSON here")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced sizes for CI")
-    parser.add_argument("--only", metavar="PREFIX", default=None,
-                        help="run only scenarios whose name starts with "
-                             "PREFIX (skips full-schema validation)")
-    parser.add_argument("--check-against", metavar="REF",
-                        help="reference JSON to gate regressions against")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed relative speedup loss (default 0.30)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="hard lower bound on the ib-insert speedup")
-    args = parser.parse_args(argv)
+def _summary(payload: dict) -> str:
+    if payload.get("only") is not None:
+        return scenario_count(payload)
+    ib = find_scenario(payload, "micro/ib_insert_batch")
+    return f"ib-insert speedup {ib['speedup']:.2f}x"
 
-    mode = "smoke" if args.smoke else "full"
-    suffix = f", only={args.only}" if args.only else ""
-    print(f"perf suite ({mode}{suffix})")
-    payload = run_suite(mode, only=args.only, echo=print)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}")
 
-    if args.only:
-        # Light validation: a filtered payload is missing required
-        # scenarios by design, so just demand the filter matched and
-        # nothing that ran failed.
-        problems = [] if payload["scenarios"] else \
-            [f"--only {args.only} matched no scenarios"]
-        for scenario in payload["scenarios"]:
-            if not scenario.get("ok"):
-                problems.append(
-                    f"scenario {scenario.get('name')} failed: "
-                    f"{scenario.get('error', 'unknown error')}")
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        if not problems:
-            print(f"ok: {len(payload['scenarios'])} scenario(s)")
-        return 1 if problems else 0
+SUITE = Suite(
+    name=SUITE_NAME,
+    title="perf suite",
+    description="wall-clock perf-regression suite",
+    scenarios=_perf_scenarios,
+    required=lambda mode: ("micro/ib_insert_batch",),
+    gates=_perf_gates,
+    ok_line=_ok_line,
+    kinds=("build", "micro", "summary"),
+    check_row=_check_row,
+    summary=_summary,
+    schema_version=SCHEMA_VERSION,
+)
 
-    reference = None
-    if args.check_against:
-        with open(args.check_against, "r", encoding="utf-8") as handle:
-            reference = json.load(handle)
-    problems = check_payload(payload, reference,
-                             max_regression=args.max_regression,
-                             min_speedup=args.min_speedup)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if not problems:
-        ib = find_scenario(payload, "micro/ib_insert_batch")
-        print(f"ok: ib-insert speedup {ib['speedup']:.2f}x")
-    return 1 if problems else 0
+run_suite = SUITE.run_suite
+validate_payload = SUITE.validate_payload
+check_payload = SUITE.check_payload
+main = SUITE.main
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

@@ -20,7 +20,7 @@ the bench publishes no number the oracle has not stood behind.
 
 All numbers are on the simulated clock, so reruns are byte-identical;
 CI gates drift against the committed ``BENCH_PR8.json`` with
-``--check-against`` exactly like the other bench suites.
+``--check-against`` (see :mod:`repro.bench.gate`).
 
 Usage::
 
@@ -31,12 +31,11 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
 import sys
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
+from repro.bench.gate import Entry, Suite, find_scenario
 from repro.cluster.cluster import plan_divergent_indexes
 from repro.cluster.oracle import check_cluster
 from repro.cluster.scenario import (
@@ -212,92 +211,23 @@ def _run_failover(params: dict) -> dict:
     return row
 
 
-def _scenarios(params: dict) -> list[tuple[str, Callable[[], dict]]]:
+def _scenarios(mode: str) -> list[Entry]:
+    params = _params(mode)
     return [
-        ("baseline/no_replicas", lambda: _run_baseline(params)),
-        ("cluster/divergent", lambda: _run_divergent(params)),
-        ("cluster/failover", lambda: _run_failover(params)),
+        ("baseline/no_replicas", None, lambda: _run_baseline(params)),
+        ("cluster/divergent", None, lambda: _run_divergent(params)),
+        ("cluster/failover", None, lambda: _run_failover(params)),
     ]
 
 
-# ---------------------------------------------------------------------------
-# suite driver, gates, CLI (the shape shared by the other bench suites)
-# ---------------------------------------------------------------------------
+def _check_row(name: str, scenario: dict) -> list[str]:
+    if (scenario.get("oracle") or {}).get("ok"):
+        return []
+    return [f"{name}: oracle summary missing or not ok"]
 
 
-def run_suite(mode: str = "full", *, only: Optional[str] = None,
-              echo: Callable[[str], None] = lambda line: None) -> dict:
-    params = _params(mode)
-    scenarios: list[dict] = []
-    for name, thunk in _scenarios(params):
-        if only is not None and not name.startswith(only):
-            continue
-        scenario: dict[str, Any] = {"name": name, "ok": True}
-        try:
-            scenario.update(thunk())
-        except Exception as exc:  # noqa: BLE001 - recorded, gated later
-            scenario["ok"] = False
-            scenario["error"] = f"{type(exc).__name__}: {exc}"
-            echo(f"  FAIL {name}: {scenario['error']}")
-        else:
-            echo(f"  ok   {name:22s} "
-                 f"p99={scenario['latency']['p99']:7.1f}  "
-                 f"range_p99="
-                 f"{scenario['latency']['by_op']['range']['p99']:7.1f}")
-        scenarios.append(scenario)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "mode": mode,
-        "python": sys.version.split()[0],
-        "scenarios": scenarios,
-    }
-    if only is not None:
-        payload["only"] = only
-    return payload
-
-
-def find_scenario(payload: dict, name: str) -> Optional[dict]:
-    for scenario in payload.get("scenarios", []):
-        if scenario.get("name") == name:
-            return scenario
-    return None
-
-
-def validate_payload(payload: dict) -> list[str]:
-    problems: list[str] = []
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version != {SCHEMA_VERSION}")
-    if payload.get("suite") != SUITE_NAME:
-        problems.append("suite name mismatch")
-    if payload.get("mode") not in ("full", "smoke"):
-        problems.append("mode must be 'full' or 'smoke'")
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return problems + ["scenarios must be a non-empty list"]
-    names = set()
-    for scenario in scenarios:
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("scenario without a name")
-            continue
-        if name in names:
-            problems.append(f"duplicate scenario {name}")
-        names.add(name)
-        if not isinstance(scenario.get("ok"), bool):
-            problems.append(f"{name}: ok must be a bool")
-        if scenario.get("ok") \
-                and not (scenario.get("oracle") or {}).get("ok"):
-            problems.append(f"{name}: oracle summary missing or not ok")
-    if payload.get("only") is None:
-        for expected in ("baseline/no_replicas", "cluster/divergent",
-                         "cluster/failover"):
-            if expected not in names:
-                problems.append(f"{expected} scenario missing")
-    return problems
-
-
-def _bench_gates(payload: dict) -> list[str]:
+def _bench_gates(payload: dict, _reference: Optional[dict],
+                 _max_regression: float) -> list[str]:
     """The suite's own acceptance gates (no reference needed)."""
     problems: list[str] = []
     baseline = find_scenario(payload, "baseline/no_replicas")
@@ -357,98 +287,28 @@ def _bench_gates(payload: dict) -> list[str]:
     return problems
 
 
-def _compare_scenario(name: str, scenario: dict, reference: dict,
-                      max_regression: float) -> list[str]:
-    problems = []
-    fields = [
-        ("latency.p99", (scenario.get("latency") or {}).get("p99"),
-         (reference.get("latency") or {}).get("p99")),
-        ("post_flip.range_p99",
-         (scenario.get("post_flip") or {}).get("range_p99"),
-         (reference.get("post_flip") or {}).get("range_p99")),
-    ]
-    for field, new, ref in fields:
-        if not isinstance(new, (int, float)) \
-                or not isinstance(ref, (int, float)) or ref == 0:
-            continue
-        drift = abs(new - ref) / ref
-        if drift > max_regression:
-            problems.append(
-                f"{name}: {field} {new:.2f} drifted {drift:.0%} from "
-                f"reference {ref:.2f} (tolerance {max_regression:.0%})")
-    return problems
+def _ok_line(name: str, scenario: dict) -> str:
+    return (f"{name:22s} p99={scenario['latency']['p99']:7.1f}  "
+            f"range_p99={scenario['latency']['by_op']['range']['p99']:7.1f}")
 
 
-def check_payload(payload: dict, reference: Optional[dict] = None, *,
-                  max_regression: float = 0.30) -> list[str]:
-    """Full gate: schema + scenario failures + bench gates + drift."""
-    problems = validate_payload(payload)
-    for scenario in payload.get("scenarios", []):
-        if not scenario.get("ok"):
-            problems.append(
-                f"scenario {scenario.get('name')} failed: "
-                f"{scenario.get('error', 'unknown error')}")
-    problems.extend(_bench_gates(payload))
-    if reference is not None:
-        for scenario in payload.get("scenarios", []):
-            if not scenario.get("ok"):
-                continue
-            ref = find_scenario(reference, scenario["name"])
-            if ref is None or not ref.get("ok"):
-                continue
-            problems.extend(_compare_scenario(
-                scenario["name"], scenario, ref, max_regression))
-    return problems
+SUITE = Suite(
+    name=SUITE_NAME,
+    title="cluster bench suite",
+    description="replication cluster end-to-end demo: divergent "
+                "per-replica online builds, routed reads, failover",
+    scenarios=_scenarios,
+    gates=_bench_gates,
+    ok_line=_ok_line,
+    check_row=_check_row,
+    drift_fields=("latency.p99", "post_flip.range_p99"),
+    schema_version=SCHEMA_VERSION,
+)
 
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster.bench",
-        description="replication cluster end-to-end demo: divergent "
-                    "per-replica online builds, routed reads, failover")
-    parser.add_argument("--out", required=True,
-                        help="write the results JSON here")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smaller traffic (CI)")
-    parser.add_argument("--only", metavar="PREFIX", default=None,
-                        help="run only scenarios whose name starts with "
-                             "PREFIX (skips completeness validation)")
-    parser.add_argument("--check-against", metavar="REF",
-                        help="reference JSON to gate drift against")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed relative drift vs the reference "
-                             "(default 0.30)")
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    suffix = f", only={args.only}" if args.only else ""
-    print(f"cluster bench suite ({mode}{suffix})")
-    payload = run_suite(mode, only=args.only, echo=print)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    if args.only:
-        problems = [] if payload["scenarios"] else \
-            [f"--only {args.only} matched no scenarios"]
-        for scenario in payload["scenarios"]:
-            if not scenario.get("ok"):
-                problems.append(
-                    f"scenario {scenario.get('name')} failed: "
-                    f"{scenario.get('error', 'unknown error')}")
-    else:
-        reference = None
-        if args.check_against:
-            with open(args.check_against, "r", encoding="utf-8") as handle:
-                reference = json.load(handle)
-        problems = check_payload(payload, reference,
-                                 max_regression=args.max_regression)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if not problems:
-        print(f"ok: {len(payload['scenarios'])} scenario(s)")
-    return 1 if problems else 0
+run_suite = SUITE.run_suite
+validate_payload = SUITE.validate_payload
+check_payload = SUITE.check_payload
+main = SUITE.main
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

@@ -24,9 +24,9 @@ Self-gates (no reference needed):
   estimated workload cost, and every pick must reach AVAILABLE.
 
 All headline numbers are on the simulated clock; CI gates drift against
-the committed ``BENCH_PR7.json`` exactly like the other bench suites
-(``--check-against``), comparing rows by name wherever both payloads ran
-them, so the smoke subset checks against the full baseline.
+the committed ``BENCH_PR7.json`` (``--check-against``, see
+:mod:`repro.bench.gate`), comparing rows by name, so the smoke subset
+checks against the full baseline.
 
 Usage::
 
@@ -37,13 +37,12 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.advisor import AdvisorConfig, recommend, templates_from_spec
 from repro.advisor.model import TableStats
+from repro.bench.gate import Entry, Suite, find_scenario
 from repro.core import BuildOptions, IndexSpec
 from repro.core.sf import SFIndexBuilder
 from repro.multibuild.builder import MultiIndexBuilder
@@ -125,7 +124,22 @@ def _make_traffic(system, table,
     return driver
 
 
-def _finish(system, driver, done, recorder, specs) -> dict:
+def _options() -> BuildOptions:
+    return BuildOptions(checkpoint_every_keys=200, commit_every_keys=128,
+                        prefetch_pages=2)
+
+
+def _timed_build(system, driver, recorder, specs, steps) -> dict:
+    """Run ``steps()`` as the builder process under the traffic; the row's
+    ``build_time`` and ``window`` are on the simulated clock."""
+    done: dict[str, float] = {}
+
+    def timed():
+        done["start"] = system.sim.now
+        yield from steps()
+        done["build_time"] = system.sim.now - done["start"]
+
+    system.spawn(timed(), name="builder")
     dispatcher = driver.spawn()
     system.run()
     if dispatcher.error is not None:
@@ -152,22 +166,11 @@ def _run_multibuild(k: int) -> dict:
     specs = list(SWEEP_SPECS[:k])
     system, table, recorder = _make_system()
     driver = _make_traffic(system, table)
-    build = MultiIndexBuilder(system, table, specs,
-                              BuildOptions(checkpoint_every_keys=200,
-                                           commit_every_keys=128,
-                                           prefetch_pages=2))
-    done: dict[str, float] = {}
-
-    def timed():
-        done["start"] = system.sim.now
-        yield from build.run()
-        done["build_time"] = system.sim.now - done["start"]
-
-    system.spawn(timed(), name="builder")
-    scenario = _finish(system, driver, done, recorder, specs)
+    build = MultiIndexBuilder(system, table, specs, _options())
+    scenario = _timed_build(system, driver, recorder, specs, build.run)
     scenario["params"] = dict(PARAMS, k=k, shape="multibuild")
     scenario["flips"] = {
-        name.split(":", 1)[1]: at - done["start"]
+        name.split(":", 1)[1]: at - scenario["window"][0]
         for name, at in build.timings.items()
         if name.startswith("drain_done:")}
     return scenario
@@ -177,24 +180,17 @@ def _run_sequential(k: int) -> dict:
     specs = list(SWEEP_SPECS[:k])
     system, table, recorder = _make_system()
     driver = _make_traffic(system, table)
-    done: dict[str, float] = {}
-    flips: dict[str, float] = {}
+    flipped_at: dict[str, float] = {}
 
-    def timed():
-        done["start"] = system.sim.now
+    def one_at_a_time():
         for spec in specs:
-            build = SFIndexBuilder(
-                system, table, spec,
-                BuildOptions(checkpoint_every_keys=200,
-                             commit_every_keys=128, prefetch_pages=2))
-            yield from build.run()
-            flips[spec.name] = system.sim.now - done["start"]
-        done["build_time"] = system.sim.now - done["start"]
+            yield from SFIndexBuilder(system, table, spec, _options()).run()
+            flipped_at[spec.name] = system.sim.now
 
-    system.spawn(timed(), name="builder")
-    scenario = _finish(system, driver, done, recorder, specs)
+    scenario = _timed_build(system, driver, recorder, specs, one_at_a_time)
     scenario["params"] = dict(PARAMS, k=k, shape="sequential")
-    scenario["flips"] = flips
+    scenario["flips"] = {name: at - scenario["window"][0]
+                         for name, at in flipped_at.items()}
     return scenario
 
 
@@ -209,19 +205,8 @@ def _run_advisor() -> dict:
     specs = report.specs()
     if not specs:
         raise AssertionError("advisor picked nothing")
-    build = MultiIndexBuilder(system, table, specs,
-                              BuildOptions(checkpoint_every_keys=200,
-                                           commit_every_keys=128,
-                                           prefetch_pages=2))
-    done: dict[str, float] = {}
-
-    def timed():
-        done["start"] = system.sim.now
-        yield from build.run()
-        done["build_time"] = system.sim.now - done["start"]
-
-    system.spawn(timed(), name="builder")
-    scenario = _finish(system, driver, done, recorder, specs)
+    build = MultiIndexBuilder(system, table, specs, _options())
+    scenario = _timed_build(system, driver, recorder, specs, build.run)
     scenario["params"] = dict(PARAMS, shape="advisor")
     scenario["advisor"] = {
         "picks": [list(pick.key_columns) for pick in report.picks],
@@ -234,97 +219,26 @@ def _run_advisor() -> dict:
     return scenario
 
 
-def _scenarios(mode: str) -> list[tuple[str, Callable[[], dict]]]:
+def _scenarios(mode: str) -> list[Entry]:
     ks = SMOKE_KS if mode == "smoke" else FULL_KS
-    entries: list[tuple[str, Callable[[], dict]]] = []
+    entries: list[Entry] = []
     for k in ks:
-        entries.append((f"multibuild/k{k}",
+        entries.append((f"multibuild/k{k}", None,
                         lambda kk=k: _run_multibuild(kk)))
-        entries.append((f"sequential/k{k}",
+        entries.append((f"sequential/k{k}", None,
                         lambda kk=k: _run_sequential(kk)))
-    entries.append(("advisor", _run_advisor))
+    entries.append(("advisor", None, _run_advisor))
     return entries
 
 
-# ---------------------------------------------------------------------------
-# suite driver, gates, CLI (the shape shared by the other bench suites)
-# ---------------------------------------------------------------------------
+def _check_row(name: str, scenario: dict) -> list[str]:
+    if isinstance(scenario.get("build_time"), (int, float)):
+        return []
+    return [f"{name}: missing build_time"]
 
 
-def run_suite(mode: str = "full", *, only: Optional[str] = None,
-              echo: Callable[[str], None] = lambda line: None) -> dict:
-    scenarios: list[dict] = []
-    for name, thunk in _scenarios(mode):
-        if only is not None and not name.startswith(only):
-            continue
-        scenario: dict[str, Any] = {"name": name, "ok": True}
-        try:
-            scenario.update(thunk())
-        except Exception as exc:  # noqa: BLE001 - recorded, gated later
-            scenario["ok"] = False
-            scenario["error"] = f"{type(exc).__name__}: {exc}"
-            echo(f"  FAIL {name}: {scenario['error']}")
-        else:
-            echo(f"  ok   {name:18s} build={scenario['build_time']:9.1f}  "
-                 f"pages={scenario['counters'].get('build.pages_scanned', 0)}")
-        scenarios.append(scenario)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "mode": mode,
-        "python": sys.version.split()[0],
-        "scenarios": scenarios,
-    }
-    if only is not None:
-        payload["only"] = only
-    return payload
-
-
-def find_scenario(payload: dict, name: str) -> Optional[dict]:
-    for scenario in payload.get("scenarios", []):
-        if scenario.get("name") == name:
-            return scenario
-    return None
-
-
-def validate_payload(payload: dict) -> list[str]:
-    problems: list[str] = []
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version != {SCHEMA_VERSION}")
-    if payload.get("suite") != SUITE_NAME:
-        problems.append("suite name mismatch")
-    if payload.get("mode") not in ("full", "smoke"):
-        problems.append("mode must be 'full' or 'smoke'")
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return problems + ["scenarios must be a non-empty list"]
-    names = set()
-    for scenario in scenarios:
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("scenario without a name")
-            continue
-        if name in names:
-            problems.append(f"duplicate scenario {name}")
-        names.add(name)
-        if not isinstance(scenario.get("ok"), bool):
-            problems.append(f"{name}: ok must be a bool")
-        if scenario.get("ok") and not isinstance(
-                scenario.get("build_time"), (int, float)):
-            problems.append(f"{name}: missing build_time")
-    if payload.get("only") is None:
-        ks = SMOKE_KS if payload.get("mode") == "smoke" else FULL_KS
-        for k in ks:
-            for shape in ("multibuild", "sequential"):
-                expected = f"{shape}/k{k}"
-                if expected not in names:
-                    problems.append(f"{expected} scenario missing")
-        if "advisor" not in names:
-            problems.append("advisor scenario missing")
-    return problems
-
-
-def _bench_gates(payload: dict) -> list[str]:
+def _bench_gates(payload: dict, _reference: Optional[dict],
+                 _max_regression: float) -> list[str]:
     """The suite's own acceptance gates (no reference needed)."""
     problems: list[str] = []
     ks = SMOKE_KS if payload.get("mode") == "smoke" else FULL_KS
@@ -368,95 +282,28 @@ def _bench_gates(payload: dict) -> list[str]:
     return problems
 
 
-def _compare_scenario(name: str, scenario: dict, reference: dict,
-                      max_regression: float) -> list[str]:
-    problems = []
-    fields = [("build_time", scenario.get("build_time"),
-               reference.get("build_time")),
-              ("latency.p99", (scenario.get("latency") or {}).get("p99"),
-               (reference.get("latency") or {}).get("p99"))]
-    for field, new, ref in fields:
-        if not isinstance(new, (int, float)) \
-                or not isinstance(ref, (int, float)) or ref == 0:
-            continue
-        drift = abs(new - ref) / ref
-        if drift > max_regression:
-            problems.append(
-                f"{name}: {field} {new:.2f} drifted {drift:.0%} from "
-                f"reference {ref:.2f} (tolerance {max_regression:.0%})")
-    return problems
+def _ok_line(name: str, scenario: dict) -> str:
+    return (f"{name:18s} build={scenario['build_time']:9.1f}  "
+            f"pages={scenario['counters'].get('build.pages_scanned', 0)}")
 
 
-def check_payload(payload: dict, reference: Optional[dict] = None, *,
-                  max_regression: float = 0.30) -> list[str]:
-    """Full gate: schema + scenario failures + bench gates + drift."""
-    problems = validate_payload(payload)
-    for scenario in payload.get("scenarios", []):
-        if not scenario.get("ok"):
-            problems.append(
-                f"scenario {scenario.get('name')} failed: "
-                f"{scenario.get('error', 'unknown error')}")
-    problems.extend(_bench_gates(payload))
-    if reference is not None:
-        for scenario in payload.get("scenarios", []):
-            if not scenario.get("ok"):
-                continue
-            ref = find_scenario(reference, scenario["name"])
-            if ref is None or not ref.get("ok"):
-                continue
-            problems.extend(_compare_scenario(
-                scenario["name"], scenario, ref, max_regression))
-    return problems
+SUITE = Suite(
+    name=SUITE_NAME,
+    title="multibuild bench suite",
+    description="shared-scan multi-index build vs K sequential builds, "
+                "plus the advisor pipeline",
+    scenarios=_scenarios,
+    gates=_bench_gates,
+    ok_line=_ok_line,
+    check_row=_check_row,
+    drift_fields=("build_time", "latency.p99"),
+    schema_version=SCHEMA_VERSION,
+)
 
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.multibuild.bench",
-        description="shared-scan multi-index build vs K sequential "
-                    "builds, plus the advisor pipeline")
-    parser.add_argument("--out", required=True,
-                        help="write the results JSON here")
-    parser.add_argument("--smoke", action="store_true",
-                        help="K endpoints only (CI)")
-    parser.add_argument("--only", metavar="PREFIX", default=None,
-                        help="run only scenarios whose name starts with "
-                             "PREFIX (skips completeness validation)")
-    parser.add_argument("--check-against", metavar="REF",
-                        help="reference JSON to gate drift against")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed relative drift vs the reference "
-                             "(default 0.30)")
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    suffix = f", only={args.only}" if args.only else ""
-    print(f"multibuild bench suite ({mode}{suffix})")
-    payload = run_suite(mode, only=args.only, echo=print)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    if args.only:
-        problems = [] if payload["scenarios"] else \
-            [f"--only {args.only} matched no scenarios"]
-        for scenario in payload["scenarios"]:
-            if not scenario.get("ok"):
-                problems.append(
-                    f"scenario {scenario.get('name')} failed: "
-                    f"{scenario.get('error', 'unknown error')}")
-    else:
-        reference = None
-        if args.check_against:
-            with open(args.check_against, "r", encoding="utf-8") as handle:
-                reference = json.load(handle)
-        problems = check_payload(payload, reference,
-                                 max_regression=args.max_regression)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if not problems:
-        print(f"ok: {len(payload['scenarios'])} scenario(s)")
-    return 1 if problems else 0
+run_suite = SUITE.run_suite
+validate_payload = SUITE.validate_payload
+check_payload = SUITE.check_payload
+main = SUITE.main
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

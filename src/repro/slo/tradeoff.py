@@ -43,11 +43,10 @@ exactly; the tolerance only absorbs deliberate recalibrations.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
+from repro.bench.gate import Entry, Suite, find_scenario, scenario_count
 from repro.core import BuildOptions, IndexSpec, get_builder
 from repro.obs import enable_tracing
 from repro.slo.analyzer import latency_report
@@ -189,9 +188,9 @@ def _run_traffic(builder: Optional[str], rate: Optional[float],
     return scenario
 
 
-def _scenarios(mode: str) -> list[tuple[str, str, Callable[[], dict]]]:
+def _scenarios(mode: str) -> list[Entry]:
     rates = SMOKE_RATES if mode == "smoke" else FULL_RATES
-    entries: list[tuple[str, str, Callable[[], dict]]] = [
+    entries: list[Entry] = [
         ("baseline", "baseline", lambda: _run_traffic(None, None))]
     for builder in BUILDERS:
         for rate in rates:
@@ -210,109 +209,27 @@ def _scenarios(mode: str) -> list[tuple[str, str, Callable[[], dict]]]:
     return entries
 
 
-# ---------------------------------------------------------------------------
-# suite driver, schema, gates, CLI
-# ---------------------------------------------------------------------------
-
-
-def run_suite(mode: str = "full", *, only: Optional[str] = None,
-              echo: Callable[[str], None] = lambda line: None) -> dict:
-    """Run every scenario; never raises -- failures land in the JSON."""
-    scenarios: list[dict] = []
-    for name, kind, thunk in _scenarios(mode):
-        if only is not None and not name.startswith(only):
-            continue
-        scenario: dict[str, Any] = {"name": name, "kind": kind,
-                                    "ok": True}
-        try:
-            scenario.update(thunk())
-        except Exception as exc:  # noqa: BLE001 - recorded, gated later
-            scenario["ok"] = False
-            scenario["error"] = f"{type(exc).__name__}: {exc}"
-            echo(f"  FAIL {name}: {scenario['error']}")
-        else:
-            latency = scenario["latency"]
-            build = scenario.get("build_time")
-            build_part = f"build={build:9.1f}  " if build is not None \
-                else " " * 17
-            echo(f"  ok   {name:28s} {build_part}"
-                 f"p50={latency['p50']:6.2f} p99={latency['p99']:6.2f} "
-                 f"(n={latency['ops']})")
-        scenarios.append(scenario)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "mode": mode,
-        "python": sys.version.split()[0],
-        "p99_protection_factor": P99_PROTECTION_FACTOR,
-        "scenarios": scenarios,
-    }
-    if only is not None:
-        payload["only"] = only
-    return payload
-
-
-def find_scenario(payload: dict, name: str) -> Optional[dict]:
-    for scenario in payload.get("scenarios", []):
-        if scenario.get("name") == name:
-            return scenario
-    return None
-
-
-def _latency_ok(scenario: dict) -> bool:
+def _check_row(name: str, scenario: dict) -> list[str]:
+    problems = []
     latency = scenario.get("latency")
-    return isinstance(latency, dict) and all(
-        isinstance(latency.get(field), (int, float))
-        for field in ("p50", "p95", "p99", "max", "mean", "ops"))
-
-
-def validate_payload(payload: dict) -> list[str]:
-    """Schema check; returns a list of problems (empty = valid)."""
-    problems: list[str] = []
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version != {SCHEMA_VERSION}")
-    if payload.get("suite") != SUITE_NAME:
-        problems.append("suite name mismatch")
-    if payload.get("mode") not in ("full", "smoke"):
-        problems.append("mode must be 'full' or 'smoke'")
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return problems + ["scenarios must be a non-empty list"]
-    names = set()
-    for scenario in scenarios:
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("scenario without a name")
-            continue
-        if name in names:
-            problems.append(f"duplicate scenario {name}")
-        names.add(name)
-        if scenario.get("kind") not in ("baseline", "build"):
-            problems.append(f"{name}: bad kind")
-        if not isinstance(scenario.get("ok"), bool):
-            problems.append(f"{name}: ok must be a bool")
-        if not scenario.get("ok"):
-            continue
-        if not _latency_ok(scenario):
-            problems.append(f"{name}: malformed latency report")
-        if scenario.get("kind") == "build" \
-                and not isinstance(scenario.get("build_time"),
-                                   (int, float)):
-            problems.append(f"{name}: missing build_time")
-    if payload.get("only") is None:
-        rates = SMOKE_RATES if payload.get("mode") == "smoke" \
-            else FULL_RATES
-        if "baseline" not in names:
-            problems.append("baseline scenario missing")
-        for builder in BUILDERS:
-            for rate in rates:
-                expected = f"tradeoff/{builder}/rate_{rate_label(rate)}"
-                if expected not in names:
-                    problems.append(f"{expected} scenario missing")
+    if not isinstance(latency, dict) or not all(
+            isinstance(latency.get(field), (int, float))
+            for field in ("p50", "p95", "p99", "max", "mean", "ops")):
+        problems.append(f"{name}: malformed latency report")
+    if scenario.get("kind") == "build" \
+            and not isinstance(scenario.get("build_time"), (int, float)):
+        problems.append(f"{name}: missing build_time")
     return problems
 
 
-def _tradeoff_gates(payload: dict) -> list[str]:
+def _required(mode: str) -> list[str]:
+    rates = SMOKE_RATES if mode == "smoke" else FULL_RATES
+    return ["baseline"] + [f"tradeoff/{builder}/rate_{rate_label(rate)}"
+                           for builder in BUILDERS for rate in rates]
+
+
+def _tradeoff_gates(payload: dict, _reference: Optional[dict],
+                    _max_regression: float) -> list[str]:
     """The suite's own acceptance gates (no reference needed)."""
     problems: list[str] = []
     rates = SMOKE_RATES if payload.get("mode") == "smoke" else FULL_RATES
@@ -381,110 +298,43 @@ def _tradeoff_gates(payload: dict) -> list[str]:
     return problems
 
 
-def _compare_scenario(name: str, scenario: dict, reference: dict,
-                      max_regression: float) -> list[str]:
-    """Row-by-row simulated-clock comparison (both directions).
-
-    Everything compared is on the simulated clock, so matching
-    parameters must reproduce matching numbers on any machine; the
-    tolerance exists for deliberate recalibrations, not noise.
-    """
-    problems = []
-    fields = [("build_time", scenario.get("build_time"),
-               reference.get("build_time")),
-              ("latency.p99", (scenario.get("latency") or {}).get("p99"),
-               (reference.get("latency") or {}).get("p99"))]
-    for field, new, ref in fields:
-        if not isinstance(new, (int, float)) \
-                or not isinstance(ref, (int, float)) or ref == 0:
-            continue
-        drift = abs(new - ref) / ref
-        if drift > max_regression:
-            problems.append(
-                f"{name}: {field} {new:.2f} drifted "
-                f"{drift:.0%} from reference {ref:.2f} "
-                f"(tolerance {max_regression:.0%})")
-    return problems
+def _ok_line(name: str, scenario: dict) -> str:
+    latency = scenario["latency"]
+    build = scenario.get("build_time")
+    build_part = f"build={build:9.1f}  " if build is not None else " " * 17
+    return (f"{name:28s} {build_part}"
+            f"p50={latency['p50']:6.2f} p99={latency['p99']:6.2f} "
+            f"(n={latency['ops']})")
 
 
-def check_payload(payload: dict, reference: Optional[dict] = None, *,
-                  max_regression: float = 0.30) -> list[str]:
-    """Full gate: schema + scenario failures + tradeoff gates + drift.
-
-    Reference rows are compared by scenario name wherever both payloads
-    ran the scenario, regardless of mode -- the smoke sweep is a strict
-    subset of the full one with identical parameters.
-    """
-    problems = validate_payload(payload)
-    for scenario in payload.get("scenarios", []):
-        if not scenario.get("ok"):
-            problems.append(
-                f"scenario {scenario.get('name')} failed: "
-                f"{scenario.get('error', 'unknown error')}")
-    problems.extend(_tradeoff_gates(payload))
-    if reference is not None:
-        for scenario in payload.get("scenarios", []):
-            if not scenario.get("ok"):
-                continue
-            ref = find_scenario(reference, scenario["name"])
-            if ref is None or not ref.get("ok"):
-                continue
-            problems.extend(_compare_scenario(
-                scenario["name"], scenario, ref, max_regression))
-    return problems
+def _summary(payload: dict) -> str:
+    baseline = find_scenario(payload, "baseline")
+    tail = ""
+    if baseline is not None and baseline.get("ok"):
+        tail = f" (baseline p99 {baseline['latency']['p99']:.2f})"
+    return scenario_count(payload) + tail
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.slo.tradeoff",
-        description="build-throttle vs foreground-latency tradeoff suite")
-    parser.add_argument("--out", required=True,
-                        help="write the results JSON here")
-    parser.add_argument("--smoke", action="store_true",
-                        help="endpoint rates only (CI)")
-    parser.add_argument("--only", metavar="PREFIX", default=None,
-                        help="run only scenarios whose name starts with "
-                             "PREFIX (skips completeness validation)")
-    parser.add_argument("--check-against", metavar="REF",
-                        help="reference JSON to gate drift against")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed relative drift vs the reference "
-                             "(default 0.30)")
-    args = parser.parse_args(argv)
+SUITE = Suite(
+    name=SUITE_NAME,
+    title="slo tradeoff suite",
+    description="build-throttle vs foreground-latency tradeoff suite",
+    scenarios=_scenarios,
+    required=_required,
+    gates=_tradeoff_gates,
+    ok_line=_ok_line,
+    kinds=("baseline", "build"),
+    check_row=_check_row,
+    drift_fields=("build_time", "latency.p99"),
+    summary=_summary,
+    extra={"p99_protection_factor": P99_PROTECTION_FACTOR},
+    schema_version=SCHEMA_VERSION,
+)
 
-    mode = "smoke" if args.smoke else "full"
-    suffix = f", only={args.only}" if args.only else ""
-    print(f"slo tradeoff suite ({mode}{suffix})")
-    payload = run_suite(mode, only=args.only, echo=print)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    if args.only:
-        problems = [] if payload["scenarios"] else \
-            [f"--only {args.only} matched no scenarios"]
-        for scenario in payload["scenarios"]:
-            if not scenario.get("ok"):
-                problems.append(
-                    f"scenario {scenario.get('name')} failed: "
-                    f"{scenario.get('error', 'unknown error')}")
-    else:
-        reference = None
-        if args.check_against:
-            with open(args.check_against, "r", encoding="utf-8") as handle:
-                reference = json.load(handle)
-        problems = check_payload(payload, reference,
-                                 max_regression=args.max_regression)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if not problems:
-        baseline = find_scenario(payload, "baseline")
-        tail = ""
-        if baseline is not None and baseline.get("ok"):
-            tail = f" (baseline p99 {baseline['latency']['p99']:.2f})"
-        print(f"ok: {len(payload['scenarios'])} scenario(s){tail}")
-    return 1 if problems else 0
+run_suite = SUITE.run_suite
+validate_payload = SUITE.validate_payload
+check_payload = SUITE.check_payload
+main = SUITE.main
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
