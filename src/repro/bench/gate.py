@@ -195,6 +195,15 @@ class Suite:
             return self.required(mode)
         return [name for name, _, _ in self.scenarios(mode)]
 
+    def _gateable(self, payload: dict) -> dict:
+        """``payload`` with only the rows a self-gate may read: failed
+        rows, and ok rows that pass :attr:`check_row`.  A self-gate may
+        then index an ok row's fields directly; a row with a schema
+        problem is reported by :meth:`validate_payload` instead."""
+        rows = [row for row in _rows(payload) if not row.get("ok")
+                or not self.check_row(row.get("name"), row)]
+        return {**payload, "scenarios": rows}
+
     def check_payload(self, payload: dict, reference: Optional[dict] = None,
                       *, max_regression: float = 0.30) -> list[str]:
         """Full gate: schema, failed scenarios, the suite's self-gates,
@@ -214,7 +223,8 @@ class Suite:
             if unusable:
                 reference = None
         problems.extend(_failed_scenarios(payload))
-        problems.extend(self.gates(payload, reference, max_regression))
+        problems.extend(self.gates(self._gateable(payload), reference,
+                                   max_regression))
         if reference is not None:
             problems.extend(_drift_problems(payload, reference,
                                             self.drift_fields,

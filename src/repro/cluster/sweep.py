@@ -9,8 +9,9 @@ WAL while building divergent indexes, one scripted failover):
 1. **Discover** -- one clean seeded run with an unarmed injector counts
    every ``cluster.ship`` / ``cluster.apply`` / ``cluster.promote``
    hit.  The clean run must itself pass the cross-replica oracle.
-2. **Enumerate** -- first / middle / last hit per site (plain crashes:
-   the cluster sites model node/link failures, not torn writes).
+2. **Enumerate** -- first / middle / last hit per site, by the shared
+   sweep core's :func:`repro.sweep.hit_plans` (plain crashes: the
+   cluster sites model node/link failures, not torn writes).
 3. **Replay** -- each plan re-runs the identical seeded scenario armed.
    A ship fault escalates to failover, an apply fault to replica crash
    recovery, a promote fault to kill-and-retry of the candidate; the
@@ -40,7 +41,14 @@ from typing import Optional
 
 from repro.cluster.scenario import run_scenario
 from repro.faultinject.injector import FaultPlan
-from repro.faultinject.sites import SITE_DOCS
+from repro.sweep import (
+    Report,
+    RunResult,
+    hit_plans,
+    print_sites,
+    run_all,
+    tally,
+)
 
 #: simulated instant of the scripted failover (must be inside the
 #: traffic window so cluster.promote is reachable during discovery)
@@ -66,34 +74,16 @@ class ClusterSweepConfig:
 
 
 @dataclass
-class PlanResult:
+class PlanResult(RunResult):
     """Outcome of one armed run (or one perturbed schedule)."""
 
     label: str
-    fired: bool = False
-    passed: bool = False
-    detail: str = ""
-    trace: Optional[str] = None
-
-    @property
-    def failed(self) -> bool:
-        return not self.passed
 
 
 @dataclass
-class ClusterSweepReport:
-    config: ClusterSweepConfig
-    mode: str
+class ClusterSweepReport(Report):
+    mode: str = "crash"
     discovered: dict = field(default_factory=dict)
-    results: list = field(default_factory=list)
-
-    @property
-    def failures(self) -> list:
-        return [r for r in self.results if r.failed]
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failures
 
     def to_text(self) -> str:
         lines = [f"cluster {self.mode} sweep: replicas="
@@ -106,9 +96,8 @@ class ClusterSweepReport:
         for result in self.results:
             status = "ok" if result.passed else f"FAIL: {result.detail}"
             lines.append(f"  {result.label:<36} {status}")
-        lines.append(f"{len(self.results) - len(self.failures)}/"
-                     f"{len(self.results)} runs passed the "
-                     "cross-replica oracle")
+        lines.append(tally(self.results,
+                           "runs passed the cross-replica oracle"))
         return "\n".join(lines)
 
 
@@ -123,33 +112,22 @@ def discover(config: ClusterSweepConfig) -> dict:
 
 def enumerate_plans(config: ClusterSweepConfig,
                     discovered: dict) -> list:
-    plans = []
-    for site in sorted(discovered):
-        count = discovered[site]
-        hits = {1}
-        if config.max_hits_per_site >= 2 and count > 1:
-            hits.add(count)
-        if config.max_hits_per_site >= 3 and count > 2:
-            hits.add((count + 1) // 2)
-        for hit in sorted(hits):
-            plans.append(FaultPlan(site, hit))
-    if config.max_plans is not None:
-        plans = plans[:config.max_plans]
-    return plans
+    return hit_plans(discovered, config.max_hits_per_site,
+                     config.max_plans)
 
 
-def run_plan(config: ClusterSweepConfig, plan: FaultPlan) -> PlanResult:
-    """One armed replay; pass iff the fault's recovery path ends in a
-    cluster that settles and satisfies every oracle check."""
-    result = PlanResult(label=plan.describe())
+def _run(config: ClusterSweepConfig, label: str,
+         **perturbation) -> PlanResult:
+    """One perturbed replay; pass iff the run ends in a cluster that
+    settles and satisfies every oracle check."""
+    result = PlanResult(label=label)
     try:
         cluster, _driver, summary, injector = run_scenario(
-            fault_plan=plan, **config.scenario_kwargs())
+            **perturbation, **config.scenario_kwargs())
     except Exception as exc:  # noqa: BLE001 - report, don't mask
         result.detail = f"{type(exc).__name__}: {exc}"
         return result
-    result.fired = injector.fired is not None
-    if not result.fired:
+    if injector is not None and injector.fired is None:
         # Hit count drifted from discovery (a config diff): the run is
         # then clean and the oracle already passed, but flag it so the
         # sweep's coverage claim stays honest.
@@ -159,43 +137,34 @@ def run_plan(config: ClusterSweepConfig, plan: FaultPlan) -> PlanResult:
     return result
 
 
+def run_plan(config: ClusterSweepConfig, plan: FaultPlan) -> PlanResult:
+    """One armed replay: a ship fault escalates to failover, an apply
+    fault to replica crash recovery, a promote fault to kill-and-retry."""
+    return _run(config, plan.describe(), fault_plan=plan)
+
+
 def run_crash_sweep(config: ClusterSweepConfig,
                     progress=None) -> ClusterSweepReport:
     discovered = discover(config)
-    plans = enumerate_plans(config, discovered)
-    report = ClusterSweepReport(config=config, mode="crash",
-                                discovered=discovered)
-    for index, plan in enumerate(plans):
-        result = run_plan(config, plan)
-        report.results.append(result)
-        if progress is not None:
-            status = "ok" if result.passed else f"FAIL: {result.detail}"
-            progress(f"[{index + 1}/{len(plans)}] "
-                     f"{plan.describe():<36} {status}")
-    return report
+    results = run_all(enumerate_plans(config, discovered),
+                      lambda plan: run_plan(config, plan),
+                      lambda plan: f"{plan.describe():<36}", progress)
+    return ClusterSweepReport(config=config, results=results,
+                              discovered=discovered)
 
 
 def run_schedule_sweep(config: ClusterSweepConfig, schedules: int,
                        progress=None) -> ClusterSweepReport:
     from repro.schedsweep.policy import RandomTiePolicy
 
-    report = ClusterSweepReport(config=config, mode="schedule")
-    for sched_seed in range(schedules):
-        policy = RandomTiePolicy(sched_seed, preempt_prob=0.05,
-                                 max_preemptions=12)
-        result = PlanResult(label=f"schedule#{sched_seed}", fired=True)
-        try:
-            _cluster, _driver, summary, _ = run_scenario(
-                schedule_policy=policy, **config.scenario_kwargs())
-            result.passed = bool(summary.get("ok"))
-        except Exception as exc:  # noqa: BLE001 - report, don't mask
-            result.detail = f"{type(exc).__name__}: {exc}"
-        report.results.append(result)
-        if progress is not None:
-            status = "ok" if result.passed else f"FAIL: {result.detail}"
-            progress(f"[{sched_seed + 1}/{schedules}] "
-                     f"{result.label:<36} {status}")
-    return report
+    def run(seed: int) -> PlanResult:
+        policy = RandomTiePolicy(seed, preempt_prob=0.05, max_preemptions=12)
+        return _run(config, f"schedule#{seed}", schedule_policy=policy)
+
+    results = run_all(list(range(schedules)), run,
+                      lambda seed: f"{f'schedule#{seed}':<36}", progress)
+    return ClusterSweepReport(config=config, results=results,
+                              mode="schedule")
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -229,12 +198,7 @@ def main(argv: Optional[list] = None) -> int:
         max_plans=args.max_plans,
     )
     if args.list_sites:
-        discovered = discover(config)
-        for site in sorted(discovered):
-            doc = SITE_DOCS.get(site, "(dynamic site)")
-            print(f"{site:<24} {discovered[site]:>6}  {doc}")
-        print(f"{len(discovered)} sites")
-        return 0
+        return print_sites(discover(config), width=24)
     progress = None if args.quiet else \
         (lambda line: print(line, file=sys.stderr, flush=True))
     if args.schedules is not None:

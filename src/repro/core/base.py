@@ -80,8 +80,6 @@ class BuildOptions:
     merge_fanin: Optional[int] = None
     #: free space left in each bulk-loaded leaf (section 2.2.3)
     fill_free_fraction: Optional[float] = None
-    #: NSF: use the specialized IB split of section 2.3.1
-    specialized_splits: bool = True
     #: SF: sort the first chunk of the side-file before applying it
     #: (section 3.2.5 performance note)
     sort_sidefile: bool = False

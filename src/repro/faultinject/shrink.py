@@ -110,10 +110,7 @@ def schedule_dump(plan: FaultPlan, config: SweepConfig,
         f"fault plan  : {plan.describe()}",
         f"failure     : {result.detail or '(passed)'}",
         f"fired       : {'yes, at t=%.3f' % result.fired_at if result.fired else 'no'}",
-        "reproduce   : run_plan(SweepConfig("
-        f"builder={config.builder!r}, records={config.records}, "
-        f"operations={config.operations}, workers={config.workers}, "
-        f"seed={config.seed}), "
+        f"reproduce   : run_plan({config.render()}, "
         f"FaultPlan({plan.site!r}, {plan.hit}, {plan.kind!r}))",
         f"shrink runs : {attempts}",
         "site hits in the failing run:",

@@ -12,8 +12,9 @@ restart recovery "can be tested systematically"):
 3. **Replay** -- for each plan, re-run the identical seeded build with
    the fault armed; the fault fires at exactly the discovered instant.
 4. **Prove** -- restart recovery, resume (or re-issue) the build, run it
-   to completion and :func:`~repro.verify.audit_index` the result.  Any
-   exception or audit failure is a sweep failure.
+   to completion and apply the per-index oracle
+   (:func:`repro.sweep.check_indexes`) to the result.  Any exception or
+   oracle failure is a sweep failure.
 
 CLI::
 
@@ -24,16 +25,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core import (
-    BuildOptions,
-    IndexSpec,
-    build_pre_undo,
-    get_builder,
-    resume_build,
-)
+from repro.core import build_pre_undo, get_builder, resume_build
 from repro.faultinject.injector import (
     CRASH,
     FaultInjector,
@@ -41,71 +36,34 @@ from repro.faultinject.injector import (
     LOST_FLUSH,
     TORN_WRITE,
 )
-from repro.faultinject.sites import LOST_CAPABLE, SITE_DOCS, TORN_CAPABLE
+from repro.faultinject.sites import LOST_CAPABLE, TORN_CAPABLE
 from repro.recovery import restart
-from repro.system import System, SystemConfig
-from repro.verify import audit_index
-from repro.workloads import WorkloadDriver, WorkloadSpec
-
-INDEX_NAME = "idx"
-
-#: the K=3 spec set used by ``--builder multi`` (section 6.2): two
-#: single-column indexes plus a composite, so the sweep crosses every
-#: per-index pipeline boundary (load/drain/flip) of the shared scan
-MULTI_SPECS = (
-    IndexSpec.of("idx", ["k"]),
-    IndexSpec.of("idx2", ["p"]),
-    IndexSpec.of("idx3", ["k", "p"]),
+from repro.sweep import (
+    INDEX_NAME,
+    BuildRecipe,
+    Report,
+    RunResult,
+    add_recipe_args,
+    check_indexes,
+    hit_plans,
+    index_specs,
+    print_sites,
+    recipe_from_args,
+    run_all,
+    start_build,
+    tally,
+    write_failures,
 )
-
-
-def _index_specs(builder: str) -> list:
-    """The index specs one sweep builds: K=3 for multi, else one."""
-    if builder == "multi":
-        return list(MULTI_SPECS)
-    return [IndexSpec.of(INDEX_NAME, ["k"])]
+from repro.system import System
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """One sweep's fully deterministic build recipe."""
+class SweepConfig(BuildRecipe):
+    """One crash sweep: the build recipe plus which plans to run."""
 
-    builder: str = "sf"
-    records: int = 500          # heap rows preloaded before the build
-    operations: int = 150       # concurrent update ops during the build
-    workers: int = 2
-    seed: int = 7
-    buffer_frames: int = 80     # modest pool; large tables reach evictions
-    checkpoint_every_pages: int = 8
-    checkpoint_every_keys: int = 48
-    commit_every_keys: int = 24
     max_hits_per_site: int = 2  # 1 = first hit only, 2 = first+last, 3 = +middle
     include_damage_kinds: bool = True
     max_plans: Optional[int] = None
-    partitions: int = 2         # psf shard count (ignored by nsf/sf)
-    #: IB admission control (work items / time unit); None = unthrottled.
-    #: The throttle must be crash-transparent: every plan of a throttled
-    #: sweep recovers and audits exactly like the unthrottled sweep.
-    build_rate_limit: Optional[float] = None
-    #: compressed-key sort (experiment E25).  The codec must be
-    #: crash-transparent too: every plan of a codec-on sweep recovers
-    #: and audits exactly like the codec-off sweep, with the resumed
-    #: sorters adopting the checkpointed column layout.
-    compressed_keys: bool = False
-
-    def system_config(self) -> SystemConfig:
-        return SystemConfig(page_capacity=8, leaf_capacity=8,
-                            buffer_frames=self.buffer_frames,
-                            sort_workspace=16, merge_fanin=4,
-                            build_rate_limit=self.build_rate_limit)
-
-    def build_options(self) -> BuildOptions:
-        return BuildOptions(
-            checkpoint_every_pages=self.checkpoint_every_pages,
-            checkpoint_every_keys=self.checkpoint_every_keys,
-            commit_every_keys=self.commit_every_keys,
-            partitions=self.partitions,
-            compressed_keys=self.compressed_keys)
 
     def make_injector(self, plan: Optional[FaultPlan] = None
                       ) -> FaultInjector:
@@ -122,43 +80,24 @@ class SweepConfig:
 
 
 @dataclass
-class PlanResult:
+class PlanResult(RunResult):
     """Outcome of one injected run."""
 
     plan: FaultPlan
     fired: bool = False
     fired_at: float = 0.0
-    passed: bool = False
-    detail: str = ""
     site_hits: dict = field(default_factory=dict)
-    #: JSONL trace of the failed run (build + crash + recovery attempt);
-    #: None for passing plans -- only failures carry their evidence
-    trace: Optional[str] = None
-
-    @property
-    def failed(self) -> bool:
-        return not self.passed
 
 
 @dataclass
-class SweepReport:
+class SweepReport(Report):
     """Per-plan results plus the discovery census."""
 
-    config: SweepConfig
-    discovered: dict
-    results: list
+    discovered: dict = field(default_factory=dict)
 
     @property
     def sites(self) -> list:
         return sorted(self.discovered)
-
-    @property
-    def failures(self) -> list:
-        return [r for r in self.results if r.failed]
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failures
 
     def to_text(self) -> str:
         lines = [
@@ -184,123 +123,62 @@ class SweepReport:
             lines.append(f"{site:<32} {self.discovered[site]:>6}  "
                          f"{len(site_results):>5}  {verdict}")
         lines.append("")
-        lines.append(f"{len(self.results) - len(self.failures)}/"
-                     f"{len(self.results)} plans recovered and audited clean")
+        lines.append(tally(self.results, "plans recovered and audited clean"))
         for result in self.failures:
             lines.append(f"  FAIL {result.plan.describe()}: {result.detail}")
         return "\n".join(lines)
 
 
-# -- one deterministic build run ---------------------------------------------
-
-
-def _start_build(config: SweepConfig,
-                 injector: Optional[FaultInjector] = None,
-                 tracer=None):
-    """Preload the table, then launch the builder and the workload.
-
-    Returns ``(system, table, driver, builder_proc)``.  The injector is
-    installed *after* the preload, so site hit counts (and therefore plan
-    hit numbers) cover exactly the build-era schedule.  ``tracer`` (a
-    :class:`~repro.obs.TraceRecorder`) attaches *passively* -- no gauge
-    sampler process -- so the traced schedule is step-identical to the
-    untraced one and plan hit numbers stay valid.
-    """
-    system = System(config.system_config(), seed=config.seed)
-    if tracer is not None:
-        from repro.obs import enable_tracing
-        enable_tracing(system, tracer)
-    table = system.create_table("t", ["k", "p"])
-    spec = WorkloadSpec(operations=config.operations, workers=config.workers,
-                        think_time=1.0, rollback_fraction=0.2)
-    driver = WorkloadDriver(system, table, spec, seed=config.seed)
-    preload = system.spawn(driver.preload(config.records), name="preload")
-    system.run()
-    if preload.error is not None:  # pragma: no cover - setup bug
-        raise preload.error
-    if config.builder == "rebuild":
-        # Seed the sealed runs with one clean, uninjected SF build; the
-        # injector installs after it, so the census covers exactly the
-        # rebuild-era schedule.
-        seed = get_builder("sf")(system, table,
-                                 _index_specs(config.builder),
-                                 options=config.build_options())
-        seed_proc = system.spawn(seed.run(), name="seed-builder")
-        system.run()
-        if seed_proc.error is not None:  # pragma: no cover - setup bug
-            raise seed_proc.error
-    if injector is not None:
-        injector.install(system)
-    if config.builder == "rebuild":
-        builder = system.rebuild_index(INDEX_NAME,
-                                       options=config.build_options())
-    else:
-        builder_cls = get_builder(config.builder)
-        builder = builder_cls(system, table, _index_specs(config.builder),
-                              options=config.build_options())
-    proc = system.spawn(builder.run(), name="builder")
-    driver.spawn_workers()
-    return system, table, proc
-
-
 def discover(config: SweepConfig, tracer=None) -> dict:
     """Run the build once, unarmed; return the {site: hit count} census.
 
-    Also asserts the clean run completes and audits, so a broken baseline
-    is reported as such rather than as a wall of injected failures.
+    Also asserts the clean run completes and passes the oracle, so a
+    broken baseline is reported as such rather than as a wall of
+    injected failures.
     """
     injector = config.make_injector()
-    system, _table, proc = _start_build(config, injector, tracer=tracer)
+    system, _driver, proc = start_build(config, injector=injector,
+                                        tracer=tracer)
     system.run()
     if proc.error is not None:
         raise proc.error
     if system.sim.crashed:  # pragma: no cover - nothing armed
         raise RuntimeError("clean discovery run crashed")
-    for spec in _index_specs(config.builder):
-        audit_index(system, system.indexes[spec.name])
+    failure = check_indexes(system, config.index_names())
+    if failure:
+        raise RuntimeError(f"clean discovery run: {failure}")
     return dict(injector.hits)
+
+
+def _finish(system: System, builder) -> None:
+    """Run a resumed or re-issued build to completion."""
+    proc = system.spawn(builder.run(), name="resumed")
+    system.run()
+    if proc.error is not None:
+        raise proc.error
 
 
 def _recover_and_audit(config: SweepConfig, system: System) -> str:
     """Restart, resume (or re-issue) the build, audit; '' or failure text."""
-    specs = _index_specs(config.builder)
+    names = config.index_names()
     recovered, state = restart(system, pre_undo=build_pre_undo)
     resumed = resume_build(recovered, state)
     if resumed is not None:
-        proc = recovered.spawn(resumed.run(), name="resumed")
-        recovered.run()
-        if proc.error is not None:
-            raise proc.error
+        _finish(recovered, resumed)
     if config.builder == "rebuild" and resumed is None:
         # The crash predated the rebuild's first (pre-flip) checkpoint:
         # the live index survived untouched and AVAILABLE.  Re-issue the
         # rebuild -- the sealed runs must still be valid.
-        rebuilder = recovered.rebuild_index(
-            INDEX_NAME, options=config.build_options())
-        proc = recovered.spawn(rebuilder.run(), name="resumed")
-        recovered.run()
-        if proc.error is not None:
-            raise proc.error
-    if any(spec.name not in recovered.indexes for spec in specs):
+        _finish(recovered, recovered.rebuild_index(
+            INDEX_NAME, options=config.build_options()))
+    if any(name not in recovered.indexes for name in names):
         # The crash landed before the build's first checkpoint: the
         # orphaned descriptors were discarded and the build is simply
         # reissued from scratch (the documented contract).
-        rebuild_cls = get_builder(config.builder)
-        table = recovered.tables["t"]
-        rebuilder = rebuild_cls(recovered, table, list(specs),
-                                options=config.build_options())
-        proc = recovered.spawn(rebuilder.run(), name="resumed")
-        recovered.run()
-        if proc.error is not None:
-            raise proc.error
-    from repro.core.descriptor import IndexState
-    for spec in specs:
-        descriptor = recovered.indexes[spec.name]
-        if descriptor.state is not IndexState.AVAILABLE:
-            return (f"index {spec.name} state {descriptor.state!r} "
-                    f"after resume")
-        audit_index(recovered, descriptor)
-    return ""
+        _finish(recovered, get_builder(config.builder)(
+            recovered, recovered.tables["t"], index_specs(config.builder),
+            options=config.build_options()))
+    return check_indexes(recovered, names)
 
 
 def run_plan(config: SweepConfig, plan: FaultPlan) -> PlanResult:
@@ -316,75 +194,48 @@ def run_plan(config: SweepConfig, plan: FaultPlan) -> PlanResult:
     result = PlanResult(plan=plan)
     recorder = TraceRecorder()
     injector = config.make_injector(plan)
-    system, _table, proc = _start_build(config, injector, tracer=recorder)
+    system, _driver, proc = start_build(config, injector=injector,
+                                        tracer=recorder)
     system.run()
     result.site_hits = dict(injector.hits)
     if injector.fired is None:
         # The site/hit pair was not reached (possible when a config diff
         # from discovery changes the schedule); the run is then a clean
-        # build and must still audit.
-        result.detail = "fault did not fire"
+        # build and must still pass the oracle.
         if proc.error is not None:
-            result.detail = f"did not fire; builder error: {proc.error!r}"
-            result.trace = recorder.to_jsonl()
-            return result
-        try:
-            for spec in _index_specs(config.builder):
-                audit_index(system, system.indexes[spec.name])
-        except Exception as exc:  # noqa: BLE001 - report, don't mask
-            result.detail = f"did not fire; audit failed: {exc!r}"
-            result.trace = recorder.to_jsonl()
-            return result
-        result.passed = True
-        return result
-    result.fired = True
-    result.fired_at = injector.fired.sim_time
-    if not system.sim.crashed:
-        result.detail = "fault fired but system did not crash"
-        result.trace = recorder.to_jsonl()
-        return result
-    try:
-        failure = _recover_and_audit(config, system)
-    except Exception as exc:  # noqa: BLE001 - report, don't mask
-        result.detail = f"recovery raised: {exc!r}"
-        result.trace = recorder.to_jsonl()
-        return result
-    if failure:
+            failure = f"builder error: {proc.error!r}"
+        else:
+            failure = check_indexes(system, config.index_names())
+        result.detail = f"did not fire; {failure}" if failure \
+            else "fault did not fire"
+    else:
+        result.fired = True
+        result.fired_at = injector.fired.sim_time
+        if not system.sim.crashed:
+            failure = "fault fired but system did not crash"
+        else:
+            try:
+                failure = _recover_and_audit(config, system)
+            except Exception as exc:  # noqa: BLE001 - report, don't mask
+                failure = f"recovery raised: {exc!r}"
         result.detail = failure
+    result.passed = not failure
+    if failure:
         result.trace = recorder.to_jsonl()
-        return result
-    result.passed = True
     return result
 
 
-# -- plan enumeration ---------------------------------------------------------
-
-
 def enumerate_plans(config: SweepConfig, discovered: dict) -> list:
-    """Stratified (site, hit, kind) plans from the discovery census.
+    """:func:`repro.sweep.hit_plans` over the discovery census, adding
+    damage kinds only where the site can express them
+    (:data:`TORN_CAPABLE` / :data:`LOST_CAPABLE`)."""
+    def kinds(site: str) -> list:
+        damage = [TORN_WRITE] * (site in TORN_CAPABLE) \
+            + [LOST_FLUSH] * (site in LOST_CAPABLE)
+        return [CRASH] + (damage if config.include_damage_kinds else [])
 
-    Per site: the first hit, the last hit, and (at ``max_hits_per_site``
-    >= 3) a middle hit.  Damage kinds are added only where the site can
-    express them (:data:`TORN_CAPABLE` / :data:`LOST_CAPABLE`).
-    """
-    plans = []
-    for site in sorted(discovered):
-        count = discovered[site]
-        hits = {1}
-        if config.max_hits_per_site >= 2 and count > 1:
-            hits.add(count)
-        if config.max_hits_per_site >= 3 and count > 2:
-            hits.add((count + 1) // 2)
-        for hit in sorted(hits):
-            plans.append(FaultPlan(site, hit, CRASH))
-            if config.include_damage_kinds:
-                if site in TORN_CAPABLE:
-                    plans.append(FaultPlan(site, hit, TORN_WRITE))
-                if site in LOST_CAPABLE:
-                    plans.append(FaultPlan(site, hit, LOST_FLUSH))
-    if config.max_plans is not None:
-        plans = plans[:config.max_plans]
-    return plans
+    return hit_plans(discovered, config.max_hits_per_site,
+                     config.max_plans, kinds)
 
 
 def run_sweep(config: SweepConfig,
@@ -401,15 +252,9 @@ def run_sweep(config: SweepConfig,
     discovered = discover(config, tracer=tracer)
     if tracer is not None:
         tracer.write_jsonl(trace_out)
-    plans = enumerate_plans(config, discovered)
-    results = []
-    for index, plan in enumerate(plans):
-        result = run_plan(config, plan)
-        results.append(result)
-        if progress is not None:
-            status = "ok" if result.passed else f"FAIL: {result.detail}"
-            progress(f"[{index + 1}/{len(plans)}] "
-                     f"{plan.describe():<40} {status}")
+    results = run_all(enumerate_plans(config, discovered),
+                      lambda plan: run_plan(config, plan),
+                      lambda plan: f"{plan.describe():<40}", progress)
     return SweepReport(config=config, discovered=discovered,
                        results=results)
 
@@ -429,23 +274,10 @@ def main(argv: Optional[list] = None) -> int:
         description="Crash-sweep a seeded online index build: inject one "
                     "fault per (site, hit) pair and prove restart "
                     "recovery + audit.")
-    parser.add_argument("--builder",
-                        choices=("nsf", "sf", "psf", "multi", "rebuild"),
-                        default="sf")
-    parser.add_argument("--partitions", type=int, default=2,
-                        help="psf shard count (ignored by nsf/sf)")
-    parser.add_argument("--records", type=int, default=500)
-    parser.add_argument("--operations", type=int, default=150)
-    parser.add_argument("--seed", type=int, default=7)
+    add_recipe_args(parser, SweepConfig(),
+                    ("nsf", "sf", "psf", "multi", "rebuild"))
     parser.add_argument("--max-hits-per-site", type=int, default=2)
     parser.add_argument("--max-plans", type=int, default=None)
-    parser.add_argument("--build-rate-limit", type=float, default=None,
-                        help="IB admission-control rate (work items per "
-                             "simulated time unit; default unthrottled)")
-    parser.add_argument("--codec", action="store_true",
-                        help="sort with compressed keys (experiment E25); "
-                             "the sweep proves the codec is "
-                             "crash-transparent")
     parser.add_argument("--no-damage-kinds", action="store_true",
                         help="inject plain crashes only")
     parser.add_argument("--list-sites", action="store_true",
@@ -455,43 +287,19 @@ def main(argv: Optional[list] = None) -> int:
                              "(render with python -m repro.obs.report)")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="write one JSONL trace per FAILED plan here")
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    config = SweepConfig(
-        builder=args.builder,
-        partitions=args.partitions,
-        records=args.records,
-        operations=args.operations,
-        seed=args.seed,
-        max_hits_per_site=args.max_hits_per_site,
-        include_damage_kinds=not args.no_damage_kinds,
-        max_plans=args.max_plans,
-        build_rate_limit=args.build_rate_limit,
-        compressed_keys=args.codec,
-    )
+    config = recipe_from_args(SweepConfig, args)
     if args.list_sites:
-        discovered = discover(config)
-        for site in sorted(discovered):
-            doc = SITE_DOCS.get(site, "(dynamic site)")
-            print(f"{site:<32} {discovered[site]:>6}  {doc}")
-        print(f"{len(discovered)} sites")
-        return 0
+        return print_sites(discover(config))
     progress = None if args.quiet else \
-        lambda line: print(line, file=sys.stderr, flush=True)
-    report = run_sweep(config, progress=progress,
-                       trace_out=args.trace_out)
+        (lambda line: print(line, file=sys.stderr, flush=True))
+    report = run_sweep(config, progress=progress, trace_out=args.trace_out)
     if args.trace_dir is not None:
-        import os
-        os.makedirs(args.trace_dir, exist_ok=True)
-        for result in report.failures:
-            if result.trace is None:
-                continue
-            path = os.path.join(args.trace_dir,
-                                f"{_plan_slug(result.plan)}.jsonl")
-            with open(path, "w") as handle:
-                handle.write(result.trace)
-            print(f"trace written: {path}", file=sys.stderr)
+        write_failures(args.trace_dir,
+                       [(f"{_plan_slug(r.plan)}.jsonl", r.trace)
+                        for r in report.failures if r.trace is not None],
+                       "trace")
     print(report.to_text())
     return 0 if report.all_passed else 1
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.btree.audit import audit_tree
-from repro.verify import audit_index
+from repro.sweep import check_indexes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Process
@@ -35,14 +34,13 @@ _OUTCOMES = ("committed", "rolledback", "aborted")
 
 
 def check_run(system: "System", driver: "WorkloadDriver",
-              builder_proc: "Process", index_name: str = "idx",
-              index_names=None) -> str:
+              builder_proc: "Process", index_names=("idx",)) -> str:
     """Apply the full oracle; returns '' when clean, else failure text.
 
-    ``index_names`` (a sequence) checks several indexes built by one
-    utility run -- the multi-index shared-scan build (section 6.2) must
-    satisfy the per-index oracle for *every* index it produced.  The
-    default checks just ``index_name``.
+    ``index_names`` lists every index the utility run built -- the
+    multi-index shared-scan build (section 6.2) must satisfy the
+    per-index checks 3-6 (:func:`repro.sweep.check_indexes`) for *every*
+    index it produced.
     """
     if builder_proc.error is not None:
         return f"builder error: {builder_proc.error!r}"
@@ -55,49 +53,8 @@ def check_run(system: "System", driver: "WorkloadDriver",
                  if not row["finished"]]
         return (f"{system.sim.live_processes} live processes after the "
                 f"queue drained (lost wakeup): {stuck}")
-    from repro.core.descriptor import IndexState
-    for name in tuple(index_names) if index_names else (index_name,):
-        descriptor = system.indexes.get(name)
-        if descriptor is None:
-            return f"index {name!r} missing after build"
-        if descriptor.state is not IndexState.AVAILABLE:
-            return f"index {name} state {descriptor.state!r} after build"
-        try:
-            audit_tree(descriptor.tree)
-        except Exception as exc:  # noqa: BLE001 - report, don't mask
-            return f"{name}: structural audit failed: {exc!r}"
-        try:
-            audit_index(system, descriptor)
-        except Exception as exc:  # noqa: BLE001 - report, don't mask
-            return f"{name}: index/table audit failed: {exc!r}"
-        failure = _serial_reference_check(descriptor)
-        if failure:
-            return f"{name}: {failure}" if index_names else failure
-    return _metrics_sanity(system, driver)
-
-
-def _serial_reference_check(descriptor) -> str:
-    """Order-exact comparison against the serial reference.
-
-    The reference is what a quiesced offline build over the *final*
-    table state produces: every live ``(key, rid)`` pair, sorted.  The
-    online build under an adversarial schedule must converge to exactly
-    that sequence.
-    """
-    reference = sorted(
-        (descriptor.key_of(record), rid)
-        for rid, record in descriptor.table.audit_records())
-    actual = [(entry.key_value, entry.rid)
-              for entry in descriptor.tree.all_entries()]
-    if actual != reference:
-        for position, (got, want) in enumerate(zip(actual, reference)):
-            if got != want:
-                return (f"serial-reference divergence at entry "
-                        f"{position}: tree has {got!r}, reference has "
-                        f"{want!r}")
-        return (f"serial-reference length mismatch: tree has "
-                f"{len(actual)} entries, reference has {len(reference)}")
-    return ""
+    failure = check_indexes(system, index_names)
+    return failure or _metrics_sanity(system, driver)
 
 
 def _metrics_sanity(system: "System", driver: "WorkloadDriver") -> str:

@@ -1,6 +1,8 @@
 """Schedule-sweep driver: explore N seeded interleavings per builder.
 
-Mirrors the crash sweep's shape (:mod:`repro.faultinject.sweep`):
+Runs on the shared sweep core (:mod:`repro.sweep`: build recipe,
+start-up, per-index oracle, CLI plumbing) and plugs a schedule policy
+in where the crash sweep (:mod:`repro.faultinject.sweep`) arms a fault:
 
 1. **Baseline** -- run each builder once with the explicit FIFO policy
    and prove the oracle passes (a broken baseline is reported as such,
@@ -29,10 +31,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core import BuildOptions, IndexSpec, get_builder
 from repro.faultinject.shrink import shrink_failure
 from repro.schedsweep.oracle import check_run
 from repro.schedsweep.policy import (
@@ -41,72 +42,42 @@ from repro.schedsweep.policy import (
     ReplayMismatch,
     ReplayPolicy,
 )
-from repro.system import System, SystemConfig
-from repro.workloads import WorkloadDriver, WorkloadSpec
-
-INDEX_NAME = "idx"
+from repro.sweep import (
+    BuildRecipe,
+    Report,
+    RunResult,
+    add_recipe_args,
+    recipe_from_args,
+    run_all,
+    start_build,
+    tally,
+    write_failures,
+)
 
 #: builder rows the default sweep explores; psf runs at P in {1, 2, 3}
-#: (the paper's interleaving arguments must hold per shard count) and
-#: multi builds K=3 indexes off one shared scan (section 6.2)
+#: (the paper's interleaving arguments must hold per shard count),
+#: multi builds K=3 indexes off one shared scan (section 6.2), and
+#: rebuild stays last so every earlier row keeps its schedule seeds
 DEFAULT_ROWS: tuple[tuple[str, int], ...] = (
     ("offline", 1), ("nsf", 1), ("sf", 1),
     ("psf", 1), ("psf", 2), ("psf", 3),
-    ("multi", 1),
+    ("multi", 1), ("rebuild", 1),
 )
 
 
-def _index_specs(builder: str) -> list:
-    """The specs one schedule run builds: K=3 for multi, else one."""
-    if builder == "multi":
-        from repro.faultinject.sweep import MULTI_SPECS
-        return list(MULTI_SPECS)
-    return [IndexSpec.of(INDEX_NAME, ["k"])]
-
-
 @dataclass(frozen=True)
-class ScheduleConfig:
-    """One schedule run's fully deterministic build recipe.
+class ScheduleConfig(BuildRecipe):
+    """One schedule run: the build recipe plus the exploration policy.
 
-    Field names ``records``/``operations``/``workers`` deliberately
-    match :class:`repro.faultinject.sweep.SweepConfig` so the generic
-    shrinker's default floors apply unchanged.
+    Field names ``records``/``operations``/``workers`` are the recipe's,
+    so the generic shrinker's default floors apply unchanged.
     """
 
-    builder: str = "sf"
-    records: int = 120          # heap rows preloaded before the build
-    operations: int = 40        # concurrent update ops per worker
-    workers: int = 2
-    seed: int = 7               # workload/system seed (not the schedule)
-    partitions: int = 2         # psf shard count (ignored by nsf/sf)
+    records: int = 120
+    operations: int = 40
+    buffer_frames: int = 64
     preempt_prob: float = 0.1
     max_preemptions: int = 16
-    buffer_frames: int = 64
-    checkpoint_every_pages: int = 8
-    checkpoint_every_keys: int = 48
-    commit_every_keys: int = 24
-    #: IB admission control (work items / time unit); None = unthrottled.
-    #: A throttled build's delays reshuffle ties, so every interleaving
-    #: the sweep explores must still pass the full oracle.
-    build_rate_limit: Optional[float] = None
-    #: compressed-key sort (experiment E25): every interleaving the
-    #: sweep explores must produce the same audited tree with the codec
-    #: on as off.
-    compressed_keys: bool = False
-
-    def system_config(self) -> SystemConfig:
-        return SystemConfig(page_capacity=8, leaf_capacity=8,
-                            buffer_frames=self.buffer_frames,
-                            sort_workspace=16, merge_fanin=4,
-                            build_rate_limit=self.build_rate_limit)
-
-    def build_options(self) -> BuildOptions:
-        return BuildOptions(
-            checkpoint_every_pages=self.checkpoint_every_pages,
-            checkpoint_every_keys=self.checkpoint_every_keys,
-            commit_every_keys=self.commit_every_keys,
-            partitions=self.partitions,
-            compressed_keys=self.compressed_keys)
 
     def make_policy(self, plan: "SchedulePlan"):
         if plan.choices is not None:
@@ -137,12 +108,10 @@ class SchedulePlan:
 
 
 @dataclass
-class ScheduleResult:
+class ScheduleResult(RunResult):
     """Outcome of one explored schedule."""
 
     plan: SchedulePlan
-    passed: bool = False
-    detail: str = ""
     #: the run's recorded choice-string (the reproduction recipe)
     choices: str = ""
     consults: int = 0
@@ -150,46 +119,15 @@ class ScheduleResult:
     preemptions: int = 0
     sim_time: float = 0.0
 
-    @property
-    def failed(self) -> bool:
-        return not self.passed
-
 
 # -- one deterministic run ----------------------------------------------------
-
-
-def _start_build(config: ScheduleConfig, policy):
-    """Preload the table, install the policy, launch builder + workload.
-
-    The policy is installed *after* the preload (mirroring the crash
-    sweep's injector), so consult numbering covers exactly the
-    build-era schedule and the preloaded table is identical across all
-    schedules of one config.
-    """
-    system = System(config.system_config(), seed=config.seed)
-    table = system.create_table("t", ["k", "p"])
-    spec = WorkloadSpec(operations=config.operations,
-                        workers=config.workers,
-                        think_time=1.0, rollback_fraction=0.2)
-    driver = WorkloadDriver(system, table, spec, seed=config.seed)
-    preload = system.spawn(driver.preload(config.records), name="preload")
-    system.run()
-    if preload.error is not None:  # pragma: no cover - setup bug
-        raise preload.error
-    system.sim.schedule_policy = policy
-    builder_cls = get_builder(config.builder)
-    builder = builder_cls(system, table, _index_specs(config.builder),
-                          options=config.build_options())
-    proc = system.spawn(builder.run(), name="builder")
-    driver.spawn_workers()
-    return system, driver, proc
 
 
 def run_plan(config: ScheduleConfig, plan: SchedulePlan) -> ScheduleResult:
     """Run one schedule to completion and apply the full oracle."""
     result = ScheduleResult(plan=plan)
     policy = config.make_policy(plan)
-    system, driver, proc = _start_build(config, policy)
+    system, driver, proc = start_build(config, policy=policy)
     failure = ""
     try:
         system.run()
@@ -205,9 +143,7 @@ def run_plan(config: ScheduleConfig, plan: SchedulePlan) -> ScheduleResult:
         result.preemptions = recorder.preemptions
     result.sim_time = system.sim.now
     if not failure:
-        names = tuple(spec.name for spec in _index_specs(config.builder))
-        failure = check_run(system, driver, proc, INDEX_NAME,
-                            index_names=names)
+        failure = check_run(system, driver, proc, config.index_names())
     result.detail = failure
     result.passed = not failure
     return result
@@ -219,59 +155,39 @@ def run_plan(config: ScheduleConfig, plan: SchedulePlan) -> ScheduleResult:
 def schedule_dump(plan: SchedulePlan, config: ScheduleConfig,
                   result: ScheduleResult, attempts: int = 1) -> str:
     """Render a deterministic reproduction recipe for a failing schedule."""
-    replay_flags = (
-        f"--builder {config.builder} --partitions {config.partitions} "
-        f"--records {config.records} --operations {config.operations} "
-        f"--workers {config.workers} --seed {config.seed} "
-        f"--replay {result.choices or plan.choices or ''!r}")
+    choices = result.choices or plan.choices or ""
     lines = [
         f"schedule    : {plan.describe()}",
         f"failure     : {result.detail or '(passed)'}",
-        f"choices     : {result.choices or plan.choices or '(fifo)'}",
+        f"choices     : {choices or '(fifo)'}",
         f"perturbed   : {result.ties_perturbed} ties, "
         f"{result.preemptions} preemptions over {result.consults} consults",
-        f"reproduce   : python -m repro.schedsweep {replay_flags}",
+        f"reproduce   : {config.render('repro.schedsweep')} "
+        f"--replay {choices!r}",
         f"shrink runs : {attempts}",
     ]
     return "\n".join(lines)
-
-
-def shrink_schedule_failure(config: ScheduleConfig, plan: SchedulePlan,
-                            max_attempts: int = 16):
-    """Shrink a failing seeded schedule via the generic shrinker.
-
-    The *seeded* plan (not its choice-string) is re-run at each smaller
-    config: the same seed explores an analogous schedule over the
-    smaller workload, and the shrunk run's own recorded choice-string
-    becomes the final reproduction recipe.
-    """
-    return shrink_failure(config, plan, max_attempts,
-                          runner=run_plan, dump=schedule_dump)
 
 
 # -- the sweep ----------------------------------------------------------------
 
 
 @dataclass
-class BuilderCensus:
-    """All explored schedules for one (builder, partitions) row."""
+class BuilderCensus(Report):
+    """One (builder, partitions) row: its FIFO baseline and the
+    explored schedules (``results``)."""
 
-    builder: str
-    partitions: int
-    baseline: ScheduleResult
-    results: list = field(default_factory=list)
+    baseline: Optional[ScheduleResult] = None
 
     @property
     def label(self) -> str:
-        if self.builder == "psf":
-            return f"psf(P={self.partitions})"
-        return self.builder
+        if self.config.builder == "psf":
+            return f"psf(P={self.config.partitions})"
+        return self.config.builder
 
     @property
     def failures(self) -> list:
-        rows = [] if self.baseline.passed else [self.baseline]
-        rows.extend(r for r in self.results if r.failed)
-        return rows
+        return [r for r in [self.baseline, *self.results] if r.failed]
 
     def totals(self) -> tuple[int, int, int]:
         return (sum(r.consults for r in self.results),
@@ -315,11 +231,10 @@ class ScheduleSweepReport:
             lines.append(
                 f"{census.label:<10} {len(census.results):>9} "
                 f"{consults:>10} {ties:>11} {preempts:>9}  {verdict}")
-        total = sum(len(census.results) + 1 for census in self.rows)
-        failed = len(self.failures)
+        runs = [r for census in self.rows
+                for r in [census.baseline, *census.results]]
         lines.append("")
-        lines.append(f"{total - failed}/{total} schedules passed the "
-                     "full oracle")
+        lines.append(tally(runs, "schedules passed the full oracle"))
         for census, result in self.failures:
             lines.append(f"  FAIL {census.label} {result.plan.describe()}: "
                          f"{result.detail}")
@@ -329,6 +244,21 @@ class ScheduleSweepReport:
 def schedule_seed_for(base_seed: int, row_index: int, n: int) -> int:
     """Deterministic per-run policy seed (stable across sweep shapes)."""
     return (base_seed * 1_000_003) ^ (row_index << 20) ^ n
+
+
+def _explore(config: ScheduleConfig, plan: SchedulePlan,
+             shrink: bool) -> ScheduleResult:
+    """Run one seeded schedule; shrink it with the generic shrinker
+    when it fails.  The *seeded* plan (not its choice-string) is re-run
+    at each smaller config: the same seed explores an analogous
+    schedule over the smaller workload, and the shrunk run's own
+    recorded choice-string becomes the final reproduction recipe."""
+    result = run_plan(config, plan)
+    if result.failed and shrink:
+        shrunk = shrink_failure(config, plan, runner=run_plan,
+                                dump=schedule_dump)
+        result.detail += "\n" + shrunk.report()
+    return result
 
 
 def run_sweep(config: ScheduleConfig, schedules: int,
@@ -346,33 +276,20 @@ def run_sweep(config: ScheduleConfig, schedules: int,
     for row_index, (builder, partitions) in enumerate(rows):
         row_config = replace(config, builder=builder,
                              partitions=partitions)
-        baseline = run_plan(row_config, SchedulePlan())
-        census = BuilderCensus(builder=builder, partitions=partitions,
-                               baseline=baseline)
+        census = BuilderCensus(row_config, baseline=run_plan(
+            row_config, SchedulePlan()))
         censuses.append(census)
         if progress is not None:
-            status = "ok" if baseline.passed else \
-                f"FAIL: {baseline.detail}"
-            progress(f"[{census.label}] baseline {status}")
-        if baseline.failed:
+            progress(f"[{census.label}] baseline {census.baseline.status}")
+        if census.baseline.failed:
             # The FIFO schedule itself fails: exploring perturbations
             # of a broken baseline would just repeat the same failure.
             continue
-        for n in range(schedules):
-            seed = schedule_seed_for(config.seed, row_index, n)
-            plan = SchedulePlan(schedule_seed=seed)
-            result = run_plan(row_config, plan)
-            if result.failed and shrink:
-                shrunk = shrink_schedule_failure(row_config, plan)
-                result.detail += "\n" + shrunk.report()
-            census.results.append(result)
-            if progress is not None and (result.failed
-                                         or (n + 1) % 10 == 0
-                                         or n + 1 == schedules):
-                status = "ok" if result.passed else \
-                    f"FAIL: {result.detail.splitlines()[0]}"
-                progress(f"[{census.label}] {n + 1}/{schedules} "
-                         f"{status}")
+        plans = [SchedulePlan(schedule_seed=schedule_seed_for(
+            config.seed, row_index, n)) for n in range(schedules)]
+        census.results = run_all(
+            plans, lambda plan: _explore(row_config, plan, shrink),
+            lambda plan: f"{census.label} {plan.describe()}", progress)
     return ScheduleSweepReport(config=config, schedules=schedules,
                                rows=censuses)
 
@@ -384,28 +301,17 @@ def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Explore seeded adversarial schedules of an online "
                     "index build and prove the full oracle on each.")
-    parser.add_argument("--builder",
-                        choices=("all", "offline", "nsf", "sf", "psf",
-                                 "multi"),
-                        default="all")
-    parser.add_argument("--partitions", type=int, default=None,
-                        help="psf shard count; default sweeps P in "
-                             "{1,2,3}")
+    add_recipe_args(parser, ScheduleConfig(),
+                    ("all", "offline", "nsf", "sf", "psf", "multi",
+                     "rebuild"))
+    # --builder all sweeps DEFAULT_ROWS; psf without --partitions
+    # sweeps P in {1, 2, 3}
+    parser.set_defaults(builder="all", partitions=None)
     parser.add_argument("--schedules", type=int, default=50,
                         help="seeded schedules per builder row")
-    parser.add_argument("--records", type=int, default=120)
-    parser.add_argument("--operations", type=int, default=40)
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--preempt-prob", type=float, default=0.1)
     parser.add_argument("--max-preemptions", type=int, default=16)
-    parser.add_argument("--build-rate-limit", type=float, default=None,
-                        help="IB admission-control rate (work items per "
-                             "simulated time unit; default unthrottled)")
-    parser.add_argument("--codec", action="store_true",
-                        help="sort with compressed keys (experiment E25); "
-                             "every explored interleaving must still pass "
-                             "the full oracle")
     parser.add_argument("--schedule-seed", type=int, default=None,
                         help="run exactly one seeded schedule and exit")
     parser.add_argument("--replay", default=None, metavar="CHOICES",
@@ -415,21 +321,12 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--failures-out", default=None, metavar="DIR",
                         help="write one reproduction recipe per failing "
                              "schedule here (CI artifact)")
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    config = ScheduleConfig(
+    config = recipe_from_args(
+        ScheduleConfig, args,
         builder=args.builder if args.builder != "all" else "sf",
-        records=args.records,
-        operations=args.operations,
-        workers=args.workers,
-        seed=args.seed,
-        partitions=args.partitions if args.partitions is not None else 2,
-        preempt_prob=args.preempt_prob,
-        max_preemptions=args.max_preemptions,
-        build_rate_limit=args.build_rate_limit,
-        compressed_keys=args.codec,
-    )
+        partitions=args.partitions if args.partitions is not None else 2)
 
     if args.replay is not None or args.schedule_seed is not None:
         # Single-run mode: replay a recorded schedule or explore one seed.
@@ -451,19 +348,11 @@ def main(argv: Optional[list] = None) -> int:
     report = run_sweep(config, args.schedules, rows=rows,
                        progress=progress, shrink=not args.no_shrink)
     if args.failures_out is not None:
-        import os
-        os.makedirs(args.failures_out, exist_ok=True)
-        for index, (census, result) in enumerate(report.failures):
-            path = os.path.join(args.failures_out,
-                                f"{census.label}-{index}.txt")
-            with open(path, "w") as handle:
-                handle.write(schedule_dump(result.plan,
-                                           replace(config,
-                                                   builder=census.builder,
-                                                   partitions=census.partitions),
-                                           result))
-                handle.write("\n")
-            print(f"failure written: {path}", file=sys.stderr)
+        write_failures(args.failures_out, [
+            (f"{census.label}-{index}.txt",
+             schedule_dump(result.plan, census.config, result) + "\n")
+            for index, (census, result) in enumerate(report.failures)],
+            "failure")
     print(report.to_text())
     return 0 if report.all_passed else 1
 

@@ -133,6 +133,36 @@ def test_malformed_reference_is_reported_not_raised(name, scenarios):
         "reference: payload must be a JSON object"]
 
 
+def test_tradeoff_row_without_build_time_is_reported_not_raised():
+    payload = _load("BENCH_PR6.json")
+    del _row(payload, "tradeoff/offline/rate_0.1")["build_time"]
+    assert "tradeoff/offline/rate_0.1: missing build_time" \
+        in tradeoff.check_payload(payload)
+
+
+@pytest.mark.parametrize("name", BENCH_FILES)
+def test_rows_failing_their_schema_never_reach_the_self_gates(name):
+    """Strip each ok row down to its identity in turn: wherever the
+    suite's row schema notices, the gate reports the row instead of a
+    self-gate indexing the missing fields."""
+    payload = _load(name)
+    suite = importlib.import_module(payload["suite"])
+    stripped_rows = 0
+    for row in payload["scenarios"]:
+        stripped = {key: row[key] for key in ("name", "ok", "kind")
+                    if key in row}
+        schema = suite.SUITE.check_row(row["name"], stripped)
+        if not row["ok"] or not schema:
+            continue
+        broken = dict(payload, scenarios=[
+            stripped if other is row else other
+            for other in payload["scenarios"]])
+        problems = suite.check_payload(broken, payload)
+        assert set(schema) <= set(problems), problems
+        stripped_rows += 1
+    assert stripped_rows
+
+
 # -- the drift check only trusts a reference from the same suite -------------
 
 

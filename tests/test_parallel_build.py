@@ -305,8 +305,8 @@ def test_resume_completes_only_unfinished_shards():
 
     config = _psf_sweep_config()
     injector = config.make_injector(FaultPlan("psf.worker_done", 3, CRASH))
-    from repro.faultinject.sweep import _start_build
-    system, _table, _proc = _start_build(config, injector)
+    from repro.sweep import start_build
+    system, _driver, _proc = start_build(config, injector=injector)
     system.run()
     assert injector.fired is not None and system.sim.crashed
 

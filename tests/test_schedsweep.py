@@ -17,8 +17,9 @@ from repro.schedsweep import (
     run_sweep,
 )
 from repro.schedsweep.recorder import PREEMPT, from_base36, to_base36
-from repro.schedsweep.sweep import _start_build, main, schedule_dump
+from repro.schedsweep.sweep import main, schedule_dump
 from repro.sim import Delay, Simulator
+from repro.sweep import start_build
 
 
 # -- recorder / choice-string ------------------------------------------------
@@ -160,7 +161,7 @@ def _clean_run(builder="sf", partitions=2):
     import dataclasses
     config = dataclasses.replace(SMALL, builder=builder,
                                  partitions=partitions)
-    system, driver, proc = _start_build(config, FifoPolicy())
+    system, driver, proc = start_build(config, policy=FifoPolicy())
     system.run()
     return system, driver, proc
 
@@ -247,7 +248,7 @@ def test_seeded_schedule_passes_and_replays(builder, partitions):
 def test_fifo_baseline_plan_matches_unhooked_run():
     """The sweep's FIFO baseline must reproduce the no-policy schedule
     exactly (metrics and simulated clock)."""
-    unhooked_system, _driver, _proc = _start_build(SMALL, None)
+    unhooked_system, _driver, _proc = start_build(SMALL, policy=None)
     unhooked_system.run()
     baseline = run_plan(SMALL, SchedulePlan())
     assert baseline.passed, baseline.detail
